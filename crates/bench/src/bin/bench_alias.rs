@@ -353,7 +353,7 @@ fn main() {
     // for the thread split to beat its own spawn cost. On a single-core
     // host the curve is necessarily flat — the report records the host
     // parallelism so readers can interpret it.
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_threads = tbaa::host_cores();
     let (types, vars, fields) = if cfg.smoke { (4, 2, 8) } else { (15, 3, 20) };
     let big = tbaa_ir::compile_to_ir(&synthetic_source(types, vars, fields))
         .expect("synthetic program compiles");

@@ -1,33 +1,21 @@
 //! `bench-compile` — cold-compile pipeline microbenchmark.
 //!
-//! Measures the source → IR cold-compile path (parse, check, per-unit
-//! lowering, merge) over the whole benchsuite at several workload
-//! scales, and appends a `compile` section to the bench report:
+//! Measures the source → IR cold-compile path (parse, check, lowering)
+//! over the whole benchsuite at several workload scales, and appends a
+//! `compile` section to the bench report:
 //!
 //! ```text
 //! bench-compile [--scales 1,4,16] [--reps N] [--out PATH] [--smoke]
 //! ```
 //!
-//! Three things are measured, matching the three claims the parallel
-//! cold-compile pipeline makes:
-//!
-//! 1. **Single-thread cost.** Wall time and *allocation count* of the
-//!    serial compile. Lowering is deterministic, so the allocation count
-//!    is exact and reproducible — the report gates on it staying at or
-//!    below the pre-optimization baseline measured in
-//!    [`BASELINE_ALLOCS`], which makes per-unit `String`/`Vec` churn a
-//!    hard regression even on a single-core CI host where wall-clock
-//!    noise would hide it.
-//! 2. **Thread scaling.** The same compile through
-//!    [`tbaa_ir::compile_to_ir_with_threads`] at 1/2/4/8 threads. The
-//!    production entry point caps workers by host cores, so on a
-//!    single-core host every point degrades to the serial path and the
-//!    curve is flat by construction; the speedup gate therefore arms
-//!    only when `available_parallelism() > 1` (the host stamp records
-//!    the core count so readers can interpret a flat curve).
-//! 3. **Determinism.** Every parallel compile is fingerprinted against
-//!    the serial one (`tbaa_ir::pretty::program`) before its timing is
-//!    accepted — a faster-but-different compile invalidates the run.
+//! Cold compile is serial: one lowering walk per module, with the
+//! incremental cache replaying unchanged units on later loads. What is
+//! measured is its single-thread cost — wall time (best of `--reps`)
+//! and *allocation count*. Lowering is deterministic, so the allocation
+//! count is exact and reproducible — the report gates on it staying at
+//! or below the pre-optimization baseline measured in
+//! [`BASELINE_ALLOCS`], which makes per-unit `String`/`Vec` churn a hard
+//! regression even where wall-clock noise would hide it.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,13 +156,10 @@ fn best_us(reps: u32, mut f: impl FnMut()) -> i64 {
 
 fn main() {
     let cfg = parse_args();
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    const THREAD_CURVE: [usize; 4] = [1, 2, 4, 8];
 
     let mut rows: Vec<Value<'static>> = Vec::new();
-    // Thread-scaling accumulators: summed best-case µs across every
-    // (bench, scale) cell, per thread count.
-    let mut curve_total = [0i64; THREAD_CURVE.len()];
+    // Summed best-case µs across every (bench, scale) cell.
+    let mut serial_total: i64 = 0;
     let mut alloc_gate_failures: Vec<String> = Vec::new();
     let mut baseline_total: u64 = 0;
     let mut measured_total: u64 = 0;
@@ -183,44 +168,13 @@ fn main() {
         for &scale in &cfg.scales {
             let src = b.source_at_scale(scale);
             let serial = tbaa_ir::compile_to_ir(&src).expect("benchsuite compiles");
-            let fingerprint = tbaa_ir::pretty::program(&serial);
-
-            // Determinism gate: parallel lowering must reproduce the
-            // serial program bit-for-bit at forced worker counts (the
-            // `_with_workers` entry bypasses the host-core cap so this
-            // exercises real fan-out even on a 1-CPU host).
-            for workers in [2usize, 4] {
-                let checked = mini_m3::compile(&src).expect("benchsuite checks");
-                let par = tbaa_ir::lower_parallel_with_workers(checked, workers)
-                    .expect("benchsuite lowers");
-                assert_eq!(
-                    tbaa_ir::pretty::program(&par),
-                    fingerprint,
-                    "{}@{scale}: parallel lowering ({workers} workers) diverged",
-                    b.name
-                );
-            }
 
             let serial_us = best_us(cfg.reps, || {
                 black_box(tbaa_ir::compile_to_ir(black_box(&src)).expect("compiles"));
             });
+            serial_total += serial_us;
             let (_, allocs, alloc_bytes) =
                 count_allocs(|| black_box(tbaa_ir::compile_to_ir(black_box(&src))));
-
-            let mut curve: Vec<Value<'static>> = Vec::new();
-            for (slot, &threads) in THREAD_CURVE.iter().enumerate() {
-                let us = best_us(cfg.reps, || {
-                    black_box(
-                        tbaa_ir::compile_to_ir_with_threads(black_box(&src), threads)
-                            .expect("compiles"),
-                    );
-                });
-                curve_total[slot] += us;
-                curve.push(Value::object(vec![
-                    ("threads", Value::Int(threads as i64)),
-                    ("us", Value::Int(us)),
-                ]));
-            }
 
             if let Some(&(_, _, baseline)) = BASELINE_ALLOCS
                 .iter()
@@ -251,24 +205,11 @@ fn main() {
                 ("serial_us", Value::Int(serial_us)),
                 ("allocs", Value::Int(allocs as i64)),
                 ("alloc_bytes", Value::Int(alloc_bytes as i64)),
-                ("scaling", Value::Array(curve)),
             ]));
         }
     }
 
-    let scaling: Vec<Value<'static>> = THREAD_CURVE
-        .iter()
-        .zip(curve_total.iter())
-        .map(|(&threads, &us)| {
-            Value::object(vec![
-                ("threads", Value::Int(threads as i64)),
-                ("total_us", Value::Int(us)),
-            ])
-        })
-        .collect();
-
     let compile_section = Value::object(vec![
-        ("host_threads", Value::Int(host_threads as i64)),
         ("smoke", Value::Bool(cfg.smoke)),
         ("reps", Value::Int(cfg.reps as i64)),
         (
@@ -276,7 +217,7 @@ fn main() {
             Value::Array(cfg.scales.iter().map(|&s| Value::Int(s as i64)).collect()),
         ),
         ("rows", Value::Array(rows)),
-        ("scaling", Value::Array(scaling)),
+        ("serial_total_us", Value::Int(serial_total)),
         (
             "baseline_allocs_total",
             Value::Int(baseline_total as i64),
@@ -308,17 +249,12 @@ fn main() {
     );
     std::fs::write(&cfg.out, format!("{}\n", report.encode())).expect("write report");
 
-    let curve_line: Vec<String> = THREAD_CURVE
-        .iter()
-        .zip(curve_total.iter())
-        .map(|(&t, &us)| format!("{t}t={us}us"))
-        .collect();
     println!(
-        "bench-compile: {} benches x {:?} scales ({host_threads} host threads)",
+        "bench-compile: {} benches x {:?} scales",
         tbaa_benchsuite::suite().len(),
         cfg.scales
     );
-    println!("  cold compile  {}", curve_line.join(" "));
+    println!("  cold compile  {serial_total}us serial");
     if measured_total > 0 {
         println!(
             "  allocations   {measured_total} vs {baseline_total} baseline ({:.2}x)",
@@ -327,25 +263,10 @@ fn main() {
     }
     println!("  report -> {}", cfg.out);
 
-    let mut failed = false;
-    for failure in &alloc_gate_failures {
-        eprintln!("bench-compile: WARNING allocation regression: {failure}");
-        failed = true;
-    }
-    // Thread-scaling gate, armed only where threads can actually run in
-    // parallel. On a 1-CPU host the production cap short-circuits every
-    // point to the serial path, so the curve must be flat — nothing to
-    // gate beyond the allocation count above.
-    let serial_total = curve_total[0];
-    let best_parallel = curve_total[1..].iter().copied().min().unwrap_or(serial_total);
-    if !cfg.smoke && host_threads > 1 && best_parallel >= serial_total {
-        eprintln!(
-            "bench-compile: WARNING cold compile did not speed up with threads \
-             ({serial_total}us serial vs {best_parallel}us best parallel on {host_threads} cores)"
-        );
-        failed = true;
-    }
-    if failed {
+    if !alloc_gate_failures.is_empty() {
+        for failure in &alloc_gate_failures {
+            eprintln!("bench-compile: WARNING allocation regression: {failure}");
+        }
         std::process::exit(1);
     }
 }

@@ -577,7 +577,7 @@ fn run_open(
                 }
             }
             Ok(Tick::Idle(_)) => {}
-            Ok(Tick::Eof) | Err(_) => {
+            Ok(Tick::Eof | Tick::TooLarge) | Err(_) => {
                 if !inflight.is_empty() || Instant::now() < deadline {
                     out.io_errors += 1;
                 }

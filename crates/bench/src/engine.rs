@@ -96,10 +96,7 @@ impl Engine {
     /// An engine over the suite at `scale`, fanning out over all
     /// available cores.
     pub fn new(scale: u32) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(scale, threads)
+        Self::with_threads(scale, tbaa::host_cores())
     }
 
     /// An engine with an explicit worker count (`1` forces the serial

@@ -45,6 +45,7 @@ use crate::analysis::{AliasAnalysis, Level, Tbaa};
 use crate::memo::Memo;
 use crate::merge::World;
 use crate::pairs::AliasPairCounts;
+use crate::workers::effective_workers;
 use mini_m3::types::TypeId;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -179,11 +180,11 @@ impl CompiledAliasEngine {
 
     /// [`compile`](Self::compile) with the dense matrix filled row-
     /// parallel on up to `threads` workers (capped by the host's core
-    /// count via [`tbaa_ir::effective_workers`]; one effective worker
-    /// runs the serial fill with zero thread overhead). The matrix is
-    /// bit-for-bit identical at any thread count.
+    /// count via [`effective_workers`]; one effective worker runs the
+    /// serial fill with zero thread overhead). The matrix is bit-for-bit
+    /// identical at any thread count.
     pub fn compile_with_threads(prog: &Program, tbaa: Arc<Tbaa>, threads: usize) -> Self {
-        let workers = tbaa_ir::effective_workers(threads, prog.aps.len());
+        let workers = effective_workers(threads, prog.aps.len());
         Self::compile_with_options(prog, tbaa, DENSE_LIMIT, workers)
     }
 
@@ -600,7 +601,7 @@ impl CompiledAliasEngine {
         // Host-core cap included: a single-core host always takes the
         // serial arm, so the census never pays thread-spawn overhead it
         // cannot recoup (the pairs.scaling regression).
-        let workers = tbaa_ir::effective_workers(threads, groups);
+        let workers = effective_workers(threads, groups);
         let (local, weighted, diag) = if workers <= 1 {
             (0..groups).map(census_group).fold((0, 0, 0), add)
         } else {

@@ -56,6 +56,7 @@ pub mod pairs;
 pub mod steensgaard;
 pub mod subtypes;
 pub mod taken;
+pub mod workers;
 
 pub use analysis::{AliasAnalysis, AlwaysAlias, Level, NoAlias, Tbaa};
 pub use compiled::{CompiledAliasEngine, CompiledStats, DENSE_LIMIT};
@@ -67,3 +68,4 @@ pub use pairs::{
 };
 pub use steensgaard::Steensgaard;
 pub use taken::FieldTakenSets;
+pub use workers::{effective_workers, effective_workers_for, host_cores, ALL_CORES};

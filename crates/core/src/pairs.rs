@@ -26,6 +26,7 @@
 
 use crate::analysis::AliasAnalysis;
 use crate::compiled::CompiledAliasEngine;
+use crate::workers::{effective_workers, ALL_CORES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tbaa_ir::ir::{HeapRefRows, Program};
 use tbaa_ir::path::ApId;
@@ -72,8 +73,7 @@ pub fn count_alias_pairs(
     prog: &Program,
     analysis: &(dyn AliasAnalysis + Sync),
 ) -> AliasPairCounts {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    count_alias_pairs_with_threads(prog, analysis, threads)
+    count_alias_pairs_with_threads(prog, analysis, ALL_CORES)
 }
 
 /// [`count_alias_pairs`] with an explicit worker count. Workers claim
@@ -121,7 +121,7 @@ pub fn count_alias_pairs_rows(
     // Host-core cap included: on a single-core host every `threads`
     // value degrades to the serial fold, so thread-spawn overhead never
     // shows up as a scaling "slowdown" (the pairs.scaling fix).
-    let workers = tbaa_ir::effective_workers(threads, n);
+    let workers = effective_workers(threads, n);
     let (local, global) = if workers <= 1 {
         (0..n).map(count_row).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     } else {
@@ -178,8 +178,7 @@ pub struct CensusReport {
 /// references interned after the engine compiled). Counts are exactly
 /// equal on both paths. Uses every available core.
 pub fn census_alias_pairs(prog: &Program, engine: &CompiledAliasEngine) -> CensusReport {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    census_alias_pairs_with_threads(prog, engine, threads)
+    census_alias_pairs_with_threads(prog, engine, ALL_CORES)
 }
 
 /// [`census_alias_pairs`] with an explicit worker count; any value
@@ -212,16 +211,6 @@ mod tests {
     use crate::analysis::{Level, Tbaa};
     use crate::merge::World;
     use tbaa_ir::compile_to_ir;
-
-    #[test]
-    fn single_core_worker_count_short_circuits_spawn() {
-        // The pair and census kernels derive their worker count from
-        // `effective_workers`; on a 1-core host every requested thread
-        // count collapses to 1, taking the spawn-free serial arm.
-        for requested in [1, 2, 8, 64] {
-            assert_eq!(tbaa_ir::effective_workers_for(requested, 1000, 1), 1);
-        }
-    }
 
     fn prog() -> Program {
         compile_to_ir(

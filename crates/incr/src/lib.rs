@@ -81,10 +81,9 @@ pub struct IncrReport {
     pub func_misses: u64,
     /// Parse/check plus unit hashing time (µs).
     pub analyze_us: u64,
-    /// Time spent lowering units fresh — the scoped-thread fan-out on the
-    /// parallel cold path, or the summed in-line lowerings otherwise (µs).
+    /// Time spent lowering units fresh, summed over units (µs).
     pub lower_us: u64,
-    /// Time spent replaying/absorbing units into the shared tables and
+    /// Time spent replaying cached units into the shared tables and
     /// assembling the final program (µs).
     pub merge_us: u64,
 }
@@ -177,26 +176,6 @@ impl IncrCompiler {
     /// The result — including diagnostics on failure — is byte-identical
     /// to [`tbaa_ir::compile_to_ir`]; the report says how much was reused.
     pub fn compile(&self, source: &str) -> (Result<Program, Diagnostics>, IncrReport) {
-        self.compile_with_threads(source, 1)
-    }
-
-    /// [`compile`](Self::compile) with up to `threads` lowering workers on
-    /// the cold path.
-    ///
-    /// `threads` is an exact worker count (clamped only to the unit
-    /// count) so tests can force the fan-out on single-core hosts;
-    /// production callers should pass it through
-    /// [`tbaa_ir::effective_workers`] first. The fan-out engages only when
-    /// the cache is empty: a warm cache replays most units, and lowering
-    /// them detached first would be wasted work. Output is byte-identical
-    /// to the serial path either way, and a subsequent edit replays the
-    /// same n−1/1 hit/miss walk whether the cold compile was parallel or
-    /// serial.
-    pub fn compile_with_threads(
-        &self,
-        source: &str,
-        threads: usize,
-    ) -> (Result<Program, Diagnostics>, IncrReport) {
         let mut report = IncrReport::default();
         let t_analyze = Instant::now();
         let checked = match mini_m3::compile(source) {
@@ -206,50 +185,7 @@ impl IncrCompiler {
         let hashes = units::unit_hashes(&checked, source);
         report.analyze_us = t_analyze.elapsed().as_micros() as u64;
 
-        let workers = threads.clamp(1, checked.procs.len().max(1));
-        if workers > 1 && self.is_empty() {
-            let checked = Arc::new(checked);
-            let t_lower = Instant::now();
-            let units = tbaa_ir::lower_units_detached(&checked, workers);
-            report.lower_us = t_lower.elapsed().as_micros() as u64;
-
-            let t_merge = Instant::now();
-            let mut ml = ModuleLowerer::new_shared(checked);
-            let mut ctx = hashes.header;
-            for (i, unit) in units.into_iter().enumerate() {
-                let key = UnitKey {
-                    unit: hashes.units[i],
-                    ctx,
-                };
-                // Still consult the cache per unit (another session may
-                // have populated it since the emptiness check) so the
-                // hit/miss counters stay truthful.
-                if let Some(cached) = self.lookup(key) {
-                    ml.replay_next(&cached.lowering);
-                    ctx = hash::chain(ctx, cached.effect_hash);
-                    report.func_hits += 1;
-                } else {
-                    let fl = ml.absorb_next_captured(unit);
-                    let effect_hash = hash::fnv_hash(&fl.effects);
-                    ctx = hash::chain(ctx, effect_hash);
-                    if fl.clean {
-                        self.insert(
-                            key,
-                            CachedUnit {
-                                lowering: fl,
-                                effect_hash,
-                            },
-                        );
-                    }
-                    report.func_misses += 1;
-                }
-            }
-            let out = ml.finish();
-            report.merge_us = t_merge.elapsed().as_micros() as u64;
-            return (out, report);
-        }
-
-        let mut ml = ModuleLowerer::new_shared(Arc::new(checked));
+        let mut ml = ModuleLowerer::new(checked);
         let mut ctx = hashes.header;
         for i in 0..ml.num_procs() {
             let key = UnitKey {
@@ -488,51 +424,6 @@ mod tests {
         let (p2, r2) = incr.compile(src);
         assert_eq!(r2.func_misses, 0);
         assert_eq!(fingerprint(&p2.unwrap()), fingerprint(&fresh(src)));
-    }
-
-    #[test]
-    fn parallel_cold_compile_matches_fresh_compile() {
-        for src in CORPUS {
-            for workers in [2, 4] {
-                let incr = IncrCompiler::new();
-                let (p, r) = incr.compile_with_threads(src, workers);
-                assert_eq!(r.func_hits, 0);
-                assert_eq!(fingerprint(&p.unwrap()), fingerprint(&fresh(src)));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_cold_compile_then_edit_walks_n_minus_one() {
-        let base = "MODULE M;
-            TYPE T = OBJECT f: INTEGER; END;
-            PROCEDURE A (t: T): INTEGER = BEGIN RETURN t.f END A;
-            PROCEDURE B (t: T): INTEGER = BEGIN RETURN t.f + 1 END B;
-            PROCEDURE C (t: T): INTEGER = BEGIN RETURN t.f + 2 END C;
-            VAR t: T; x: INTEGER;
-            BEGIN t := NEW(T); x := A(t) + B(t) + C(t); END M.";
-        let edited = base.replace("RETURN t.f + 1", "RETURN t.f + 100");
-        let incr = IncrCompiler::new();
-        // Parallel cold compile caches the same (unit, ctx) entries a
-        // serial one would...
-        let (_, r1) = incr.compile_with_threads(base, 4);
-        assert_eq!(r1.func_misses, 4);
-        // ...so a one-function edit replays exactly n−1 units.
-        let (p, r2) = incr.compile(&edited);
-        assert_eq!(r2.func_misses, 1, "only B re-lowered");
-        assert_eq!(r2.func_hits, 3);
-        assert_eq!(fingerprint(&p.unwrap()), fingerprint(&fresh(&edited)));
-    }
-
-    #[test]
-    fn warm_cache_skips_the_fan_out() {
-        let src = CORPUS[1];
-        let incr = IncrCompiler::new();
-        let (_, r1) = incr.compile_with_threads(src, 4);
-        let (p, r2) = incr.compile_with_threads(src, 4);
-        assert_eq!(r2.func_misses, 0);
-        assert_eq!(r2.func_hits, r1.funcs());
-        assert_eq!(fingerprint(&p.unwrap()), fingerprint(&fresh(src)));
     }
 
     #[test]

@@ -35,11 +35,7 @@ pub mod pretty;
 pub mod symbols;
 
 pub use ir::{Function, HeapRefRows, Instr, Program};
-pub use lower::{
-    effective_workers, effective_workers_for, lower_parallel, lower_parallel_with_workers,
-    lower_unit_detached, lower_units_detached, DetachedUnit, FuncEffects, FuncLowering,
-    ModuleLowerer,
-};
+pub use lower::{FuncEffects, FuncLowering, ModuleLowerer};
 pub use path::{AccessPath, ApId, ApTable, ApView, FuncId, VarId};
 pub use symbols::{Symbol, SymbolTable};
 
@@ -51,22 +47,6 @@ pub use symbols::{Symbol, SymbolTable};
 pub fn compile_to_ir(source: &str) -> Result<Program, mini_m3::Diagnostics> {
     let checked = mini_m3::compile(source)?;
     lower::lower(checked)
-}
-
-/// [`compile_to_ir`] with function units lowered on up to `threads`
-/// scoped worker threads. Output is byte-identical to the serial path at
-/// any thread count; one effective worker (e.g. on a single-core host)
-/// takes the serial path with zero thread overhead.
-///
-/// # Errors
-///
-/// Returns diagnostics from any phase (lex, parse, check, lower).
-pub fn compile_to_ir_with_threads(
-    source: &str,
-    threads: usize,
-) -> Result<Program, mini_m3::Diagnostics> {
-    let checked = mini_m3::compile(source)?;
-    lower::lower_parallel(checked, threads)
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ use mini_m3::error::{Diagnostics, Phase};
 use mini_m3::span::Span;
 use mini_m3::types::{ParamMode, TypeId, TypeKind};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Lowers a checked module to IR.
@@ -52,187 +51,6 @@ pub fn lower(checked: CheckedModule) -> Result<Program, Diagnostics> {
     assemble(lw)
 }
 
-/// The worker count actually worth spawning for `items` independent work
-/// units when `requested` threads were asked for: never more threads than
-/// items, and never more than the host exposes — a single-core host pays
-/// thread-spawn overhead without any parallel speedup, so it always runs
-/// serial (the `pairs.scaling` regression this fixes).
-pub fn effective_workers(requested: usize, items: usize) -> usize {
-    // `available_parallelism` re-parses cgroup quotas on every call
-    // (~10µs on Linux) — far too slow for per-query kernels that route
-    // their thread clamp through here. The core count is fixed for the
-    // process lifetime, so resolve it once.
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let cores =
-        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    effective_workers_for(requested, items, cores)
-}
-
-/// Pure core of [`effective_workers`], parameterized on the core count so
-/// the clamp is testable on any host.
-pub fn effective_workers_for(requested: usize, items: usize, cores: usize) -> usize {
-    requested.clamp(1, items.max(1)).min(cores.max(1))
-}
-
-/// [`lower`] with the per-function fan-out: function units are lowered
-/// detached on scoped threads and merged **in unit order** through
-/// [`ModuleLowerer::absorb_next`], so the output is byte-identical to the
-/// serial lowering at any thread count. Worker count is capped by
-/// [`effective_workers`]; one worker falls back to plain [`lower`].
-pub fn lower_parallel(checked: CheckedModule, threads: usize) -> Result<Program, Diagnostics> {
-    let workers = effective_workers(threads, checked.procs.len());
-    lower_parallel_with_workers(checked, workers)
-}
-
-/// [`lower_parallel`] with an exact worker count (no host-core cap) — the
-/// differential tests use this to force the detached-merge path even on a
-/// single-core host.
-pub fn lower_parallel_with_workers(
-    checked: CheckedModule,
-    workers: usize,
-) -> Result<Program, Diagnostics> {
-    if workers <= 1 {
-        return lower(checked);
-    }
-    let checked = Arc::new(checked);
-    let units = lower_units_detached(&checked, workers);
-    let mut ml = ModuleLowerer::new_shared(checked);
-    for unit in units {
-        ml.absorb_next(unit);
-    }
-    ml.finish()
-}
-
-/// Lowers every function unit of `checked` detached (fresh local tables)
-/// on `workers` scoped threads, returning the units in function order.
-/// Workers claim unit indices off a shared atomic cursor, so skewed
-/// function sizes still balance.
-pub fn lower_units_detached(checked: &Arc<CheckedModule>, workers: usize) -> Vec<DetachedUnit> {
-    let n = checked.procs.len();
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<DetachedUnit>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        done.push((i, lower_unit_detached(checked, ProcId(i as u32))));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, u) in h.join().expect("lowering worker panicked") {
-                slots[i] = Some(u);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every unit lowered exactly once"))
-        .collect()
-}
-
-/// Lowers one function unit against fresh empty tables. All ids the unit
-/// hands out (`ApId`s, `Symbol`s, text ids, temp/opaque counters) are
-/// local; [`ModuleLowerer::absorb_next`] remaps them into the
-/// module-shared tables.
-pub fn lower_unit_detached(checked: &Arc<CheckedModule>, pid: ProcId) -> DetachedUnit {
-    let mut lw = Lowerer::new_detached(Arc::clone(checked));
-    lw.lower_func(pid);
-    let func = lw.funcs.pop().expect("lower_func pushed");
-    DetachedUnit {
-        func,
-        temps: lw.aps.temp_mark(),
-        opaques: lw.aps.opaque_mark(),
-        aps: lw.aps,
-        symbols: lw.symbols,
-        texts: lw.texts,
-        merges: lw.merges,
-        address_taken: lw.address_taken,
-        allocated: lw.allocated,
-        diags: lw.diags,
-    }
-}
-
-/// One function lowered in isolation by [`lower_unit_detached`]: the body
-/// plus its shared-state contributions, all in unit-local id spaces.
-#[derive(Debug)]
-pub struct DetachedUnit {
-    func: Function,
-    /// Fresh temp roots the unit consumed (local ids `1..=temps`).
-    temps: u32,
-    /// Fresh opaque-index ids the unit consumed.
-    opaques: u32,
-    aps: ApTable,
-    symbols: SymbolTable,
-    texts: Vec<String>,
-    merges: Vec<Merge>,
-    address_taken: AddressTakenInfo,
-    allocated: HashSet<TypeId>,
-    diags: Diagnostics,
-}
-
-/// Rebases a detached unit's opaque-index ids into the module id space.
-fn remap_index(ix: &mut ApIndex, opaque_base: u32) {
-    match ix {
-        ApIndex::Opaque(o) => *o += opaque_base,
-        ApIndex::Bin(_, l, r) => {
-            remap_index(l, opaque_base);
-            remap_index(r, opaque_base);
-        }
-        _ => {}
-    }
-}
-
-/// Rebases a detached unit's access path: temp roots and opaque indices
-/// shift by the module counters at absorb time (fresh ids are handed out
-/// pre-increment, so local id `k` is exactly serial id `base + k`), and
-/// field symbols map through the unit's symbol remap table.
-fn remap_path(p: &AccessPath, sym_map: &[Symbol], temp_base: u32, opaque_base: u32) -> AccessPath {
-    let mut p = p.clone();
-    if let ApRoot::Temp(t) = &mut p.root {
-        *t += temp_base;
-    }
-    for s in &mut p.steps {
-        match s {
-            ApStep::Field { name, .. } => *name = sym_map[name.0 as usize],
-            ApStep::Index { index, .. } => remap_index(index, opaque_base),
-            _ => {}
-        }
-    }
-    p
-}
-
-/// Rewrites every unit-local id a lowered body carries (`ApId`
-/// annotations on heap instructions and text-literal ids) into the
-/// module id space.
-fn remap_func(f: &mut Function, ap_map: &[ApId], text_map: &[u32]) {
-    for b in &mut f.blocks {
-        for i in &mut b.instrs {
-            match i {
-                Instr::LoadMem { ap, .. }
-                | Instr::StoreMem { ap, .. }
-                | Instr::TakeAddrMem { ap, .. } => *ap = ap_map[ap.0 as usize],
-                Instr::Call { addr_aps, .. } | Instr::CallMethod { addr_aps, .. } => {
-                    for ap in addr_aps {
-                        *ap = ap_map[ap.0 as usize];
-                    }
-                }
-                Instr::ConstText { text, .. } => *text = text_map[*text as usize],
-                _ => {}
-            }
-        }
-    }
-}
-
 /// Assembles the final [`Program`] from a fully-driven [`Lowerer`] —
 /// shared tail of [`lower`] and [`ModuleLowerer::finish`].
 fn assemble(lw: Lowerer) -> Result<Program, Diagnostics> {
@@ -247,8 +65,8 @@ fn assemble(lw: Lowerer) -> Result<Program, Diagnostics> {
             .map(|(&(t, ref m), &p)| ((t, m.clone()), FuncId(p.0)))
             .collect();
         // Reclaim the checked module's type table when this lowering
-        // holds the last reference (always true once the detached
-        // workers have joined); a still-shared module pays one clone.
+        // holds the last reference (always true once lowering is done);
+        // a still-shared module pays one clone.
         let types = match Arc::try_unwrap(lw.checked) {
             Ok(checked) => checked.types,
             Err(shared) => shared.types.clone(),
@@ -401,15 +219,8 @@ pub struct ModuleLowerer {
 impl ModuleLowerer {
     /// Starts lowering `checked`, with no function lowered yet.
     pub fn new(checked: CheckedModule) -> Self {
-        Self::new_shared(Arc::new(checked))
-    }
-
-    /// [`new`](Self::new) over an already-shared module — the parallel
-    /// cold-compile path keeps one `Arc` per detached worker plus this
-    /// one, so the module is checked once and never cloned.
-    pub fn new_shared(checked: Arc<CheckedModule>) -> Self {
         ModuleLowerer {
-            lw: Lowerer::new(checked),
+            lw: Lowerer::new(Arc::new(checked)),
             next: 0,
         }
     }
@@ -429,72 +240,6 @@ impl ModuleLowerer {
         let marks = Marks::take(&self.lw);
         self.lw.lower_func(ProcId(self.next));
         self.next += 1;
-        marks.capture(&self.lw)
-    }
-
-    /// Splices a detached unit in by remapping its locally-numbered ids
-    /// (paths, temp/opaque roots, field symbols, text literals) into the
-    /// module-shared tables **in the unit's own intern order**. Detached
-    /// lowering interns in the same first-use order a serial lowering
-    /// does, and fresh ids are handed out pre-increment, so local id `k`
-    /// rebased by the module counter is exactly the id serial lowering
-    /// would have produced — the merged tables, and therefore the
-    /// assembled program, are byte-identical to serial output.
-    pub fn absorb_next(&mut self, unit: DetachedUnit) {
-        let lw = &mut self.lw;
-        let temp_base = lw.aps.temp_mark();
-        let opaque_base = lw.aps.opaque_mark();
-        // Field symbols and text literals, in unit intern order.
-        let sym_map: Vec<Symbol> = unit
-            .symbols
-            .iter()
-            .map(|(_, n)| lw.symbols.intern(n))
-            .collect();
-        let text_map: Vec<u32> = unit.texts.iter().map(|t| lw.text_id(t)).collect();
-        // Access paths: rebase local ids, then re-intern in unit order
-        // (already-shared paths dedup to their existing module ids; new
-        // ones append in the same order serial lowering would).
-        let ap_map: Vec<ApId> = unit
-            .aps
-            .iter()
-            .map(|(_, p)| {
-                let p = remap_path(p, &sym_map, temp_base, opaque_base);
-                lw.aps.intern(p)
-            })
-            .collect();
-        lw.aps.advance_counters(unit.temps, unit.opaques);
-
-        let mut func = unit.func;
-        remap_func(&mut func, &ap_map, &text_map);
-        lw.funcs.push(func);
-        lw.merges.extend_from_slice(&unit.merges);
-        for &(ty, sym) in unit.address_taken.fields.iter() {
-            let f = (ty, sym_map[sym.0 as usize]);
-            if lw.address_taken.fields.insert(f) {
-                lw.taken_fields_log.push(f);
-            }
-        }
-        for &t in unit.address_taken.elements.iter() {
-            if lw.address_taken.elements.insert(t) {
-                lw.taken_elements_log.push(t);
-            }
-        }
-        for &t in unit.allocated.iter() {
-            if lw.allocated.insert(t) {
-                lw.allocated_log.push(t);
-            }
-        }
-        lw.diags.extend(unit.diags);
-        self.next += 1;
-    }
-
-    /// [`absorb_next`](Self::absorb_next), additionally capturing the
-    /// unit's shared-state delta as a cacheable [`FuncLowering`] —
-    /// exactly what [`lower_next`](Self::lower_next) would have captured
-    /// for the same function.
-    pub fn absorb_next_captured(&mut self, unit: DetachedUnit) -> FuncLowering {
-        let marks = Marks::take(&self.lw);
-        self.absorb_next(unit);
         marks.capture(&self.lw)
     }
 
@@ -636,33 +381,15 @@ impl Lowerer {
                 _ => {}
             }
         }
-        let n_procs = checked.procs.len();
-        let mut lw = Self::new_detached(checked);
-        lw.funcs = Vec::with_capacity(n_procs);
-        lw.globals = globals;
-        lw.global_frame_size = off;
-        lw.aps = ApTable::with_capacity(ap_cap);
-        lw.symbols = SymbolTable::with_capacity(sym_cap);
-        lw.texts = Vec::with_capacity(text_cap);
-        lw.text_intern = HashMap::with_capacity(text_cap);
-        lw
-    }
-
-    /// A lowerer for one detached unit: shares the checked module but
-    /// starts from empty tables and skips the global frame layout and
-    /// pre-scan (neither is consulted while lowering a single function —
-    /// the layout is only assembled into the final program).
-    fn new_detached(checked: Arc<CheckedModule>) -> Self {
         Lowerer {
-            checked,
             diags: Diagnostics::new(),
-            funcs: Vec::new(),
-            globals: Vec::new(),
-            global_frame_size: 0,
-            texts: Vec::new(),
-            text_intern: HashMap::new(),
-            aps: ApTable::new(),
-            symbols: SymbolTable::new(),
+            funcs: Vec::with_capacity(checked.procs.len()),
+            globals,
+            global_frame_size: off,
+            texts: Vec::with_capacity(text_cap),
+            text_intern: HashMap::with_capacity(text_cap),
+            aps: ApTable::with_capacity(ap_cap),
+            symbols: SymbolTable::with_capacity(sym_cap),
             address_taken: AddressTakenInfo::default(),
             taken_fields_log: Vec::new(),
             taken_elements_log: Vec::new(),
@@ -676,6 +403,7 @@ impl Lowerer {
             n_regs: 0,
             bindings: Vec::new(),
             loop_exits: Vec::new(),
+            checked,
         }
     }
 
@@ -2114,81 +1842,5 @@ mod tests {
         );
         let sites = p.heap_ref_sites();
         assert_eq!(sites.len(), 1, "only the visible element load");
-    }
-
-    /// A module exercising every remap surface: temp roots (WITH aliases,
-    /// object bases), opaque indices, field symbols across multiple units,
-    /// text literals, methods, open arrays, VAR actuals.
-    const PARALLEL_SRC: &str = "MODULE M;
-         TYPE Box = OBJECT val: INTEGER; next: Box; METHODS bump () := Bump; END;
-              A = ARRAY OF INTEGER;
-         VAR root: Box; arr: A; total: INTEGER; greet: TEXT;
-         PROCEDURE Bump (self: Box) =
-           BEGIN self.val := self.val + 1 END Bump;
-         PROCEDURE Mk (v: INTEGER): Box =
-           VAR b: Box;
-           BEGIN b := NEW(Box); b.val := v; RETURN b END Mk;
-         PROCEDURE Touch (VAR x: INTEGER) =
-           BEGIN x := x + 1 END Touch;
-         PROCEDURE Sum (b: Box): INTEGER =
-           VAR s: INTEGER;
-           BEGIN
-             WITH w = b.val DO s := s + w END;
-             Touch(b.val);
-             RETURN s
-           END Sum;
-         BEGIN
-           root := Mk(7);
-           root.next := Mk(8);
-           root.bump();
-           arr := NEW(A, 4);
-           arr[total] := Sum(root);
-           greet := \"hi\" & \"there\";
-         END M.";
-
-    #[test]
-    fn detached_absorb_matches_serial() {
-        let serial = lower_src(PARALLEL_SRC);
-        for workers in [2, 3, 8] {
-            let checked = mini_m3::compile(PARALLEL_SRC).expect("compiles");
-            let par = lower_parallel_with_workers(checked, workers).expect("lowers");
-            assert_eq!(
-                crate::pretty::program(&serial),
-                crate::pretty::program(&par),
-                "parallel lowering with {workers} workers diverged from serial"
-            );
-        }
-    }
-
-    #[test]
-    fn absorb_captures_same_effects_as_lower_next() {
-        let checked = Arc::new(mini_m3::compile(PARALLEL_SRC).expect("compiles"));
-        let n = checked.procs.len();
-        let mut serial = ModuleLowerer::new_shared(Arc::clone(&checked));
-        let mut par = ModuleLowerer::new_shared(Arc::clone(&checked));
-        let units = lower_units_detached(&checked, 2);
-        for (i, unit) in units.into_iter().enumerate() {
-            let fresh = serial.lower_next();
-            let absorbed = par.absorb_next_captured(unit);
-            assert_eq!(
-                fresh.effects, absorbed.effects,
-                "unit {i}/{n} effects diverged"
-            );
-            assert_eq!(fresh.clean, absorbed.clean, "unit {i} cleanliness diverged");
-        }
-    }
-
-    #[test]
-    fn effective_workers_clamps_to_items_and_cores() {
-        // Single-core hosts never spawn (the pairs.scaling fix).
-        assert_eq!(effective_workers_for(8, 100, 1), 1);
-        // Never more workers than items.
-        assert_eq!(effective_workers_for(8, 3, 16), 3);
-        // Never more than the host exposes.
-        assert_eq!(effective_workers_for(8, 100, 4), 4);
-        // Zero requests still run the work.
-        assert_eq!(effective_workers_for(0, 100, 4), 1);
-        // No items: one worker, no division by zero.
-        assert_eq!(effective_workers_for(4, 0, 4), 1);
     }
 }

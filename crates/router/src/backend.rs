@@ -33,10 +33,6 @@ pub enum BackendSpec {
         /// disables journaling (the router falls back to replaying its
         /// in-memory journal after a respawn).
         journal_dir: Option<PathBuf>,
-        /// Compile worker threads per backend (0 = one per host core).
-        compile_threads: usize,
-        /// Engines prewarmed per admitted load (0 = off, 1 = default).
-        prewarm: usize,
     },
     /// Attach to already-running daemons; the router owns neither their
     /// lifecycle nor their respawn (a dead attached backend stays dead).
@@ -95,8 +91,6 @@ pub(crate) fn build_hosts(
             workers,
             capacity,
             journal_dir,
-            compile_threads,
-            prewarm,
         } => {
             for shard in 0..shards {
                 let journal_dir = journal_dir
@@ -107,8 +101,6 @@ pub(crate) fn build_hosts(
                     *workers,
                     *capacity,
                     journal_dir,
-                    *compile_threads,
-                    *prewarm,
                 )?));
             }
         }
@@ -187,8 +179,6 @@ struct SpawnHost {
     workers: usize,
     capacity: usize,
     journal_dir: Option<PathBuf>,
-    compile_threads: usize,
-    prewarm: usize,
     child: Option<Child>,
     addr: String,
 }
@@ -199,8 +189,6 @@ impl SpawnHost {
         workers: usize,
         capacity: usize,
         journal_dir: Option<PathBuf>,
-        compile_threads: usize,
-        prewarm: usize,
     ) -> std::io::Result<SpawnHost> {
         let mut args = vec![
             "--addr".to_string(),
@@ -209,10 +197,6 @@ impl SpawnHost {
             workers.to_string(),
             "--capacity".to_string(),
             capacity.to_string(),
-            "--compile-threads".to_string(),
-            compile_threads.to_string(),
-            "--prewarm".to_string(),
-            prewarm.to_string(),
         ];
         if let Some(dir) = &journal_dir {
             args.push("--journal-dir".to_string());
@@ -243,8 +227,6 @@ impl SpawnHost {
             workers,
             capacity,
             journal_dir,
-            compile_threads,
-            prewarm,
             child: Some(child),
             addr,
         })
@@ -274,8 +256,6 @@ impl BackendHost for SpawnHost {
             self.workers,
             self.capacity,
             self.journal_dir.clone(),
-            self.compile_threads,
-            self.prewarm,
         )
         .map_err(|e| format!("respawn failed: {e}"))?;
         *self = fresh;

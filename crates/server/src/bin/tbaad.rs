@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tbaad [--addr HOST:PORT] [--socket PATH] [--workers N] [--capacity N]
-//!       [--journal-dir DIR] [--compile-threads N] [--prewarm N]
+//!       [--journal-dir DIR]
 //!
 //!   --addr             TCP bind address (default 127.0.0.1:4980; use :0 for
 //!                      an ephemeral port — the chosen one is printed)
@@ -11,12 +11,10 @@
 //!   --capacity         max cached sessions before LRU eviction (default 32)
 //!   --journal-dir      durable session journal: admitted loads are logged
 //!                      here and replayed on restart (crash recovery)
-//!   --compile-threads  worker threads for cold-compile fan-out and engine
-//!                      builds (default 0 = one per host core; output is
-//!                      byte-identical at any setting)
-//!   --prewarm          engines built eagerly per admitted load (default 1 =
-//!                      the default (level, world) engine; 0 = off)
 //! ```
+//!
+//! Every admitted load builds the default `(level, world)` query engine
+//! before it replies, so the first query against a session is a memo hit.
 //!
 //! On startup the daemon prints exactly one line to stdout:
 //!
@@ -31,7 +29,8 @@ use std::process::ExitCode;
 
 use tbaa_server::{Server, ServerConfig};
 
-const USAGE: &str = "tbaad [--addr HOST:PORT] [--socket PATH] [--workers N] [--capacity N] [--journal-dir DIR] [--compile-threads N] [--prewarm N]";
+const USAGE: &str =
+    "tbaad [--addr HOST:PORT] [--socket PATH] [--workers N] [--capacity N] [--journal-dir DIR]";
 
 fn main() -> ExitCode {
     let mut config = ServerConfig::builder().addr("127.0.0.1:4980").build();
@@ -60,14 +59,6 @@ fn main() -> ExitCode {
             "--journal-dir" => match value(i) {
                 Some(d) => config.journal_dir = Some(d.into()),
                 None => return usage("--journal-dir needs DIR"),
-            },
-            "--compile-threads" => match value(i).and_then(|s| s.parse().ok()) {
-                Some(n) => config.compile_threads = n,
-                None => return usage("--compile-threads needs an integer (0 = auto)"),
-            },
-            "--prewarm" => match value(i).and_then(|s| s.parse().ok()) {
-                Some(n) => config.prewarm = n,
-                None => return usage("--prewarm needs an integer (0 = off)"),
             },
             "--help" | "-h" => {
                 println!("usage: {USAGE}");

@@ -65,9 +65,6 @@ pub mod reply;
 pub mod server;
 pub mod session;
 
-#[allow(deprecated)]
-pub use server::Config;
-
 pub use client::{Client, ClientError};
 pub use metrics::Registry;
 pub use reply::{

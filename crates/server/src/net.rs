@@ -10,7 +10,7 @@
 //! daemon runs.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{mpsc, Arc, Mutex};
@@ -22,6 +22,12 @@ pub const POLL_TICK: Duration = Duration::from_millis(50);
 pub const ACCEPT_TICK: Duration = Duration::from_millis(10);
 /// Most pipelined lines served per batch before replies are flushed.
 const MAX_BATCH: usize = 64;
+/// Longest line a [`LineReader`] accepts, in bytes. The largest `load`
+/// line any workload in this repository sends is about 150 KB (a ×16
+/// synthetic program). A longer request gets a `too_large` error and the
+/// connection is closed, so a peer that never sends a newline cannot grow
+/// the read buffer without bound.
+pub const MAX_LINE: usize = 1 << 20;
 
 /// One duplex peer connection (TCP or Unix).
 pub enum Conn {
@@ -74,6 +80,15 @@ impl Conn {
         }
     }
 
+    /// Shuts down the write half: the peer reads EOF after what was sent.
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(Shutdown::Write),
+        }
+    }
+
     /// Writes one request line (appending the newline) and flushes.
     pub fn write_line(&mut self, line: &str) -> std::io::Result<()> {
         debug_assert!(!line.contains('\n'), "requests are single lines");
@@ -119,6 +134,9 @@ pub enum Tick {
     Idle(bool),
     /// Peer closed the connection.
     Eof,
+    /// The line grew past [`MAX_LINE`] bytes without a newline; its
+    /// bytes so far are dropped and the rest is left unread.
+    TooLarge,
 }
 
 /// A buffered line reader that survives read timeouts: partial bytes
@@ -149,7 +167,13 @@ impl LineReader {
     /// as a [`Tick::Line`] — the serve loop's lenient behavior for
     /// half-closed clients.
     pub fn tick(&mut self) -> std::io::Result<Tick> {
-        match self.reader.read_until(b'\n', &mut self.pending) {
+        // `pending` never holds more than MAX_LINE bytes between ticks, so
+        // there is room for at least one more byte.
+        let room = (MAX_LINE + 1 - self.pending.len()) as u64;
+        match (&mut self.reader)
+            .take(room)
+            .read_until(b'\n', &mut self.pending)
+        {
             Ok(0) => {
                 if self.pending.is_empty() {
                     Ok(Tick::Eof)
@@ -159,6 +183,10 @@ impl LineReader {
                     self.pending.clear();
                     Ok(Tick::Line(line))
                 }
+            }
+            Ok(_) if self.pending.len() > MAX_LINE && self.pending.last() != Some(&b'\n') => {
+                self.pending.clear();
+                Ok(Tick::TooLarge)
             }
             Ok(_) => {
                 // `read_until` also returns `Ok(n > 0)` when EOF (rather
@@ -193,12 +221,19 @@ impl LineReader {
     }
 
     /// Blocks until a full line arrives, looping over timeouts.
-    /// EOF is an `UnexpectedEof` error.
+    /// EOF is an `UnexpectedEof` error; a line over [`MAX_LINE`] is an
+    /// `InvalidData` error.
     pub fn read_line_blocking(&mut self) -> std::io::Result<String> {
         loop {
             match self.tick()? {
                 Tick::Line(line) => return Ok(line),
                 Tick::Idle(_) => continue,
+                Tick::TooLarge => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("line exceeds {MAX_LINE} bytes"),
+                    ))
+                }
                 Tick::Eof => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
@@ -460,6 +495,7 @@ fn serve_connection(conn: Conn, service: &dyn LineService, opts: ServeOptions) {
                 if !line.trim().is_empty() {
                     batch.push(line);
                 }
+                let mut too_large = false;
                 while batch.len() < MAX_BATCH && reader.buffered_line() {
                     match reader.tick() {
                         Ok(Tick::Line(l)) => {
@@ -467,20 +503,29 @@ fn serve_connection(conn: Conn, service: &dyn LineService, opts: ServeOptions) {
                                 batch.push(l);
                             }
                         }
+                        Ok(Tick::TooLarge) => {
+                            too_large = true;
+                            break;
+                        }
                         _ => break,
                     }
                 }
+                if !batch.is_empty() {
+                    out.clear();
+                    service.handle_batch(&batch, &mut out);
+                    if writer
+                        .write_all(out.as_bytes())
+                        .and_then(|()| writer.flush())
+                        .is_err()
+                    {
+                        return; // peer gone mid-reply
+                    }
+                }
+                if too_large {
+                    return reject_too_large(&mut reader, &mut writer, opts.drain_grace);
+                }
                 if batch.is_empty() {
                     continue;
-                }
-                out.clear();
-                service.handle_batch(&batch, &mut out);
-                if writer
-                    .write_all(out.as_bytes())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return; // peer gone mid-reply
                 }
                 if service.draining() {
                     // The grace window is measured from the first moment
@@ -513,7 +558,44 @@ fn serve_connection(conn: Conn, service: &dyn LineService, opts: ServeOptions) {
                     }
                 }
             }
+            Ok(Tick::TooLarge) => {
+                return reject_too_large(&mut reader, &mut writer, opts.drain_grace)
+            }
             Ok(Tick::Eof) | Err(_) => return,
+        }
+    }
+}
+
+/// Answers a request line that outgrew [`MAX_LINE`] with a `too_large`
+/// error, then ends the connection. The write half is shut first and the
+/// rest of the peer's input is read and dropped for up to `grace`: closing
+/// with unread input would reset the connection, and the peer could lose
+/// the reply.
+fn reject_too_large(reader: &mut LineReader, writer: &mut Conn, grace: Duration) {
+    let mut reply = crate::proto::error_reply(
+        "too_large",
+        &format!("request line exceeds {MAX_LINE} bytes"),
+    )
+    .encode();
+    reply.push('\n');
+    if writer
+        .write_all(reply.as_bytes())
+        .and_then(|()| writer.flush())
+        .and_then(|()| writer.shutdown_write())
+        .is_err()
+    {
+        return;
+    }
+    let deadline = Instant::now() + grace;
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline {
+        match reader.reader.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(_) => return,
         }
     }
 }

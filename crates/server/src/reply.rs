@@ -30,6 +30,9 @@ pub enum ErrCode {
     Panic,
     /// A router could not reach the owning backend after retries.
     Unavailable,
+    /// The request line outgrew [`crate::net::MAX_LINE`]; the server
+    /// closes the connection after this reply.
+    TooLarge,
     /// Any kind this client does not know.
     Other,
 }
@@ -46,6 +49,7 @@ impl ErrCode {
             "unknown_path" => ErrCode::UnknownPath,
             "panic" => ErrCode::Panic,
             "unavailable" => ErrCode::Unavailable,
+            "too_large" => ErrCode::TooLarge,
             _ => ErrCode::Other,
         }
     }

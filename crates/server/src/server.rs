@@ -63,19 +63,7 @@ pub struct ServerConfig {
     /// admitted loads are logged and replayed on restart, so a daemon
     /// killed mid-run comes back with the same session ids.
     pub journal_dir: Option<std::path::PathBuf>,
-    /// Worker-thread budget for cold-compile lowering fan-out and
-    /// row-parallel engine builds. `0` (the default) means one worker
-    /// per host core; output is byte-identical at any setting.
-    pub compile_threads: usize,
-    /// Engines to build eagerly right after a load is admitted: `0`
-    /// disables prewarming, `1` (the default) builds the default
-    /// `(level, world)` engine so the first query pays no engine build.
-    pub prewarm: usize,
 }
-
-/// The old name of [`ServerConfig`].
-#[deprecated(since = "0.2.0", note = "renamed to `ServerConfig`; build one with `ServerConfig::builder()`")]
-pub type Config = ServerConfig;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -87,8 +75,6 @@ impl Default for ServerConfig {
             io_timeout: Duration::from_secs(10),
             drain_grace: Duration::from_millis(500),
             journal_dir: None,
-            compile_threads: 0,
-            prewarm: 1,
         }
     }
 }
@@ -153,18 +139,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Worker-thread budget for compiles (0 = one per host core).
-    pub fn compile_threads(mut self, n: usize) -> Self {
-        self.config.compile_threads = n;
-        self
-    }
-
-    /// Engines to prewarm per admitted load (0 = off, 1 = default).
-    pub fn prewarm(mut self, n: usize) -> Self {
-        self.config.prewarm = n;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> ServerConfig {
         self.config
@@ -178,8 +152,6 @@ pub struct ServerState {
     metrics: Arc<Registry>,
     shutdown: AtomicBool,
     started: Instant,
-    /// Engines to build eagerly after each admitted load (0 = off).
-    prewarm: usize,
 }
 
 impl ServerState {
@@ -194,8 +166,7 @@ impl ServerState {
     /// the pre-crash session ids.
     fn new(config: &ServerConfig, started: Instant) -> std::io::Result<Self> {
         let metrics = Arc::new(Registry::new());
-        let store = SessionStore::new(config.session_capacity, metrics.clone())
-            .with_compile_threads(config.compile_threads);
+        let store = SessionStore::new(config.session_capacity, metrics.clone());
         let journal = match &config.journal_dir {
             None => None,
             Some(dir) => {
@@ -233,7 +204,6 @@ impl ServerState {
             metrics,
             shutdown: AtomicBool::new(false),
             started,
-            prewarm: config.prewarm,
         })
     }
 
@@ -335,21 +305,6 @@ impl Server {
             state,
             listener,
         })
-    }
-
-    /// Positional constructor from the pre-builder era.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Server::bind(ServerConfig::builder().addr(..).workers(..).session_capacity(..).build())`"
-    )]
-    pub fn new(addr: &str, workers: usize, session_capacity: usize) -> std::io::Result<Server> {
-        Server::bind(
-            ServerConfig::builder()
-                .addr(addr)
-                .workers(workers)
-                .session_capacity(session_capacity)
-                .build(),
-        )
     }
 
     /// The bound TCP address (resolves port 0).
@@ -514,9 +469,7 @@ fn dispatch(state: &Arc<ServerState>, req: Request<'_>, out: &mut String) {
                         // first query against this session pays zero
                         // engine-build latency. Memoized — a re-load of a
                         // warm session is a no-op here.
-                        if state.prewarm > 0 {
-                            let _ = session.engine(proto::DEFAULT_LEVEL, proto::DEFAULT_WORLD);
-                        }
+                        let _ = session.engine(proto::DEFAULT_LEVEL, proto::DEFAULT_WORLD);
                         // The admission itself was journaled by the store
                         // (inside its admission critical section), so the
                         // journal's order matches admission order.
@@ -852,8 +805,7 @@ mod tests {
 
     #[test]
     fn prewarm_builds_default_engine_at_load_time() {
-        // Default config has prewarm = 1: the load itself builds the
-        // default (level, world) engine, so the first query finds it
+        // The load itself builds the default (level, world) engine, so the first query finds it
         // memoized and `engines.built` never moves past 1.
         let st = state();
         let sid = load(&st, SMOKE);
@@ -863,19 +815,6 @@ mod tests {
             &format!(r#"{{"op":"alias","session":"{sid}","ap1":"t.f","ap2":"t.f"}}"#),
         );
         assert_eq!(engines_built(&st), 1, "first query must not build again");
-    }
-
-    #[test]
-    fn prewarm_zero_defers_engine_build_to_first_query() {
-        let config = ServerConfig::builder().prewarm(0).build();
-        let st = Arc::new(ServerState::new(&config, Instant::now()).expect("state"));
-        let sid = load(&st, SMOKE);
-        assert_eq!(engines_built(&st), 0, "prewarm=0 must not build at load");
-        handle(
-            &st,
-            &format!(r#"{{"op":"alias","session":"{sid}","ap1":"t.f","ap2":"t.f"}}"#),
-        );
-        assert_eq!(engines_built(&st), 1);
     }
 
     #[test]
@@ -898,6 +837,47 @@ mod tests {
     }
 
     #[test]
+    fn oversized_line_gets_too_large_and_the_daemon_keeps_serving() {
+        use crate::net::{Conn, LineReader, Tick, MAX_LINE};
+        use crate::reply::{ErrCode, Reply};
+        use std::io::Write as _;
+
+        let handle = Server::bind(ServerConfig::default()).expect("bind").spawn();
+        let mut conn = Conn::connect_tcp(handle.addr()).expect("connect");
+        let mut reader = LineReader::new(conn.try_clone().expect("clone"));
+        // One line, never terminated: unbounded, the daemon would buffer
+        // it until it ran out of memory.
+        let sender = std::thread::spawn(move || {
+            let chunk = vec![b'x'; 64 * 1024];
+            for _ in 0..MAX_LINE / chunk.len() + 2 {
+                if conn.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let reply = reader
+            .read_line_blocking()
+            .expect("a reply before the close");
+        let Ok(Reply::Err(e)) = Reply::decode(&reply) else {
+            panic!("expected an error reply, got {reply}");
+        };
+        assert_eq!(e.code, ErrCode::TooLarge);
+        assert!(
+            matches!(reader.tick(), Ok(Tick::Eof) | Err(_)),
+            "connection closed"
+        );
+        sender.join().expect("sender");
+
+        let mut client = crate::Client::connect(handle.addr()).expect("second connection");
+        let load = client
+            .load_source(SMOKE)
+            .expect("second connection is served");
+        assert!(!load.session.is_empty());
+        client.shutdown().expect("shutdown");
+        handle.join().expect("clean exit");
+    }
+
+    #[test]
     fn builder_mirrors_field_assignment() {
         let built = ServerConfig::builder()
             .addr("127.0.0.1:0")
@@ -905,22 +885,11 @@ mod tests {
             .session_capacity(7)
             .io_timeout(Duration::from_secs(2))
             .drain_grace(Duration::from_millis(10))
-            .compile_threads(5)
-            .prewarm(0)
             .build();
         assert_eq!(built.workers, 3);
         assert_eq!(built.session_capacity, 7);
         assert_eq!(built.io_timeout, Duration::from_secs(2));
         assert_eq!(built.drain_grace, Duration::from_millis(10));
-        assert_eq!(built.compile_threads, 5);
-        assert_eq!(built.prewarm, 0);
         assert!(built.unix_path.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_positional_constructor_still_binds() {
-        let server = Server::new("127.0.0.1:0", 2, 4).expect("bind");
-        assert_ne!(server.local_addr().port(), 0);
     }
 }

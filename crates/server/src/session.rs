@@ -19,7 +19,7 @@ use std::time::Instant;
 use mini_m3::Diagnostics;
 use tbaa::analysis::{Level, Tbaa};
 use tbaa::memo::Memo;
-use tbaa::{CompiledAliasEngine, CompiledStats, World};
+use tbaa::{CompiledAliasEngine, CompiledStats, World, ALL_CORES};
 use tbaa_benchsuite::Benchmark;
 use tbaa_ir::ir::Program;
 use tbaa_ir::path::ApId;
@@ -85,10 +85,6 @@ pub struct Session {
     analysis_us: Arc<Histogram>,
     engines_built: Arc<Counter>,
     engine_build_us: Arc<Histogram>,
-    /// Worker-thread budget for engine builds (row-parallel dense fill).
-    /// Capped by host cores inside `compile_with_threads`, so `1` on a
-    /// single-core box regardless of the configured value.
-    compile_threads: usize,
     /// Alias queries served against this session's engines. Counted
     /// here (per session) because the engine's dense query path is
     /// deliberately uninstrumented.
@@ -96,13 +92,7 @@ pub struct Session {
 }
 
 impl Session {
-    fn new(
-        id: String,
-        key: SessionKey,
-        program: Program,
-        metrics: &Registry,
-        compile_threads: usize,
-    ) -> Self {
+    fn new(id: String, key: SessionKey, program: Program, metrics: &Registry) -> Self {
         let program = Arc::new(program);
         let mut paths = HashMap::new();
         for (_f, ap, _is_store) in program.heap_ref_sites() {
@@ -122,7 +112,6 @@ impl Session {
             analysis_us: metrics.histogram("analysis_us", LATENCY_US_BUCKETS),
             engines_built: metrics.counter("engines.built"),
             engine_build_us: metrics.histogram("engine_build_us", LATENCY_US_BUCKETS),
-            compile_threads,
             queries_served: AtomicU64::new(0),
         }
     }
@@ -148,11 +137,8 @@ impl Session {
         self.engines.get_or_build((level, world), || {
             self.engines_built.inc();
             let t0 = Instant::now();
-            let engine = CompiledAliasEngine::compile_with_threads(
-                &self.program,
-                analysis,
-                self.compile_threads,
-            );
+            let engine =
+                CompiledAliasEngine::compile_with_threads(&self.program, analysis, ALL_CORES);
             self.engine_build_us.observe_duration(t0.elapsed());
             engine
         })
@@ -226,10 +212,6 @@ pub struct SessionStore {
     /// and [`Self::unload`], so journal order is admission order.
     journal: OnceLock<Arc<Journal>>,
     incr: IncrCompiler,
-    /// Worker-thread budget for cold-compile fan-out and engine builds.
-    /// Always ≥ 1; `with_compile_threads(0)` resolves to the host core
-    /// count, and every consumer re-caps by cores/work anyway.
-    compile_threads: usize,
     metrics: Arc<Registry>,
     compiles: Arc<Counter>,
     hits: Arc<Counter>,
@@ -261,7 +243,6 @@ impl SessionStore {
             next_id: AtomicU64::new(1),
             journal: OnceLock::new(),
             incr: IncrCompiler::new(),
-            compile_threads: 1,
             compiles: metrics.counter("sessions.compiles"),
             hits: metrics.counter("sessions.hits"),
             misses: metrics.counter("sessions.misses"),
@@ -278,29 +259,13 @@ impl SessionStore {
         }
     }
 
-    /// Sets the worker-thread budget for cold-compile lowering fan-out
-    /// and row-parallel engine builds. `0` means "one worker per host
-    /// core"; any value is still re-capped by cores and by the amount
-    /// of work at each use site, so over-asking is harmless and output
-    /// stays byte-identical at every setting.
-    #[must_use]
-    pub fn with_compile_threads(mut self, threads: usize) -> Self {
-        self.compile_threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        self
-    }
-
     /// Compiles source through the function-granular incremental cache,
     /// recording reuse metrics and per-stage compile timings. Output
     /// (including diagnostics) is byte-identical to a from-scratch
-    /// `tbaa_ir::compile_to_ir` at any thread count.
+    /// `tbaa_ir::compile_to_ir`.
     fn compile_incr(&self, source: &str) -> Result<Program, Diagnostics> {
         let t0 = Instant::now();
-        let workers = tbaa_ir::effective_workers(self.compile_threads, usize::MAX);
-        let (result, report) = self.incr.compile_with_threads(source, workers);
+        let (result, report) = self.incr.compile(source);
         self.incr_rebuild_us.observe_duration(t0.elapsed());
         self.compile_analyze_us.observe(report.analyze_us);
         self.compile_lower_us.observe(report.lower_us);
@@ -401,7 +366,7 @@ impl SessionStore {
             self.compile_us.observe_duration(t0.elapsed());
             compiled.map(|program| {
                 let id = format!("s{}", self.next_id.fetch_add(1, Ordering::Relaxed));
-                Session::new(id, key.clone(), program, &self.metrics, self.compile_threads)
+                Session::new(id, key.clone(), program, &self.metrics)
             })
         });
         let cached = match (&*slot, built_here) {
@@ -479,13 +444,7 @@ impl SessionStore {
             let compiled = compile();
             self.compile_us.observe_duration(t0.elapsed());
             compiled.map(|program| {
-                Session::new(
-                    id.to_string(),
-                    key.clone(),
-                    program,
-                    &self.metrics,
-                    self.compile_threads,
-                )
+Session::new(id.to_string(), key.clone(), program, &self.metrics)
             })
         });
         match slot.as_ref() {

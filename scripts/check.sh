@@ -28,7 +28,7 @@ scripts/server_smoke.sh
 echo "== alias-query bench smoke (engines agree, harness runs)"
 scripts/bench_alias.sh --smoke --out target/bench_alias_smoke.json
 
-echo "== cold-compile bench smoke (parallel lowering byte-identical, alloc gate)"
+echo "== cold-compile bench smoke (allocation gate)"
 scripts/compile_smoke.sh --smoke --out target/bench_compile_smoke.json
 
 echo "== loadgen smoke (chaos on, differential gates)"

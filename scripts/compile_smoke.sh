@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Cold-compile pipeline benchmark: serial cost + allocation count of
-# source -> IR over the benchsuite, thread-scaling curve of the parallel
-# lowering fan-out, and byte-identity of parallel vs serial output.
-# Merges a `compile` section into BENCH_alias_query.json in the repo root.
+# Cold-compile allocation gate: serial cost and exact allocation count of
+# source -> IR over the benchsuite, gated against pinned per-bench
+# baselines. Merges a `compile` section into BENCH_alias_query.json in
+# the repo root.
 #
-#   scripts/compile_smoke.sh            # full run (gates on allocations,
-#                                       # and on thread scaling when the
-#                                       # host has >1 core)
-#   scripts/compile_smoke.sh --smoke    # quick correctness-only pass (CI)
+#   scripts/compile_smoke.sh            # full run (scales 1,4,16; best of 5)
+#   scripts/compile_smoke.sh --smoke    # quick pass (CI): scales 1,4, one rep
 #
 # Extra arguments are forwarded to the bench-compile binary.
 set -euo pipefail

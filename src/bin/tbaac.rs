@@ -227,14 +227,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 Some(d) => config.journal_dir = Some(d.into()),
                 None => return serve_usage("--journal-dir needs DIR"),
             },
-            "--compile-threads" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => config.compile_threads = n,
-                None => return serve_usage("--compile-threads needs an integer (0 = auto)"),
-            },
-            "--prewarm" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => config.prewarm = n,
-                None => return serve_usage("--prewarm needs an integer (0 = off)"),
-            },
             other => return serve_usage(&format!("unknown option `{other}`")),
         }
         i += 2;
@@ -262,7 +254,7 @@ fn serve_usage(msg: &str) -> ExitCode {
     eprintln!("tbaac serve: {msg}");
     eprintln!(
         "usage: tbaac serve [--addr HOST:PORT] [--socket PATH] [--workers N] [--capacity N] \
-         [--journal-dir DIR] [--compile-threads N] [--prewarm N]"
+         [--journal-dir DIR]"
     );
     ExitCode::FAILURE
 }
@@ -280,8 +272,6 @@ fn cmd_route(args: &[String]) -> ExitCode {
     let mut backend_bin: Option<std::path::PathBuf> = None;
     let mut attach: Option<Vec<String>> = None;
     let mut journal_dir: Option<std::path::PathBuf> = None;
-    let mut compile_threads: usize = 0;
-    let mut prewarm: usize = 1;
     let mut i = 0;
     while i < args.len() {
         let value = args.get(i + 1);
@@ -320,14 +310,6 @@ fn cmd_route(args: &[String]) -> ExitCode {
                 Some(d) => journal_dir = Some(d.into()),
                 None => return route_usage("--journal-dir needs DIR"),
             },
-            "--compile-threads" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => compile_threads = n,
-                None => return route_usage("--compile-threads needs an integer (0 = auto)"),
-            },
-            "--prewarm" => match value.and_then(|s| s.parse().ok()) {
-                Some(n) => prewarm = n,
-                None => return route_usage("--prewarm needs an integer (0 = off)"),
-            },
             other => return route_usage(&format!("unknown option `{other}`")),
         }
         i += 2;
@@ -341,8 +323,6 @@ fn cmd_route(args: &[String]) -> ExitCode {
             workers,
             capacity,
             journal_dir,
-            compile_threads,
-            prewarm,
         },
         (None, Some(addrs)) => {
             if journal_dir.is_some() {
@@ -354,8 +334,6 @@ fn cmd_route(args: &[String]) -> ExitCode {
             let mut config = server::ServerConfig::builder()
                 .workers(workers)
                 .session_capacity(capacity)
-                .compile_threads(compile_threads)
-                .prewarm(prewarm)
                 .build();
             config.journal_dir = journal_dir;
             BackendSpec::InProcess { config }
@@ -385,8 +363,7 @@ fn route_usage(msg: &str) -> ExitCode {
     eprintln!("tbaac route: {msg}");
     eprintln!(
         "usage: tbaac route [--addr HOST:PORT] [--socket PATH] [--shards N] [--workers N] \
-         [--capacity N] [--journal-dir DIR] [--compile-threads N] [--prewarm N] \
-         [--backend-bin TBAAD | --attach ADDR[,ADDR...]]"
+         [--capacity N] [--journal-dir DIR] [--backend-bin TBAAD | --attach ADDR[,ADDR...]]"
     );
     ExitCode::FAILURE
 }
