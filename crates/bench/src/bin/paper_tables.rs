@@ -49,117 +49,20 @@ fn main() {
         Some(n) => tb::Engine::with_threads(scale, n),
         None => tb::Engine::new(scale),
     };
-    let all = which == "all";
     if json {
-        emit_json(&engine, &which, all);
-        if stats {
-            print_stats(&engine);
-        }
-        return;
-    }
-    println!("Type-Based Alias Analysis (PLDI 1998) — reproduction tables (scale {scale})\n");
-    if all || which == "table4" {
-        println!("{}", tb::render_table4(&engine.table4()));
-    }
-    if all || which == "table5" {
-        println!("{}", tb::render_table5(&engine.table5()));
-    }
-    if all || which == "table6" {
-        println!("{}", tb::render_table6(&engine.table6()));
-    }
-    if all || which == "fig8" {
-        println!(
-            "{}",
-            tb::render_runtime(
-                "Figure 8: Impact of RLE (percent of original running time)",
-                &engine.fig8()
-            )
-        );
-    }
-    if all || which == "fig9" {
-        println!("{}", tb::render_fig9(&engine.fig9()));
-    }
-    if all || which == "fig10" {
-        println!("{}", tb::render_fig10(&engine.fig10()));
-    }
-    if all || which == "fig11" {
-        println!(
-            "{}",
-            tb::render_runtime(
-                "Figure 11: Cumulative Impact of Optimizations (percent of original time)",
-                &engine.fig11()
-            )
-        );
-    }
-    if all || which == "fig12" {
-        println!(
-            "{}",
-            tb::render_runtime(
-                "Figure 12: Open and Closed World Assumptions (percent of original time)",
-                &engine.fig12()
-            )
-        );
-        println!("Static open-world comparison (SMFieldTypeRefs):");
-        println!(
-            "{:<13} {:>16} {:>16}",
-            "Program", "Closed G-pairs", "Open G-pairs"
-        );
-        for (name, closed, open) in engine.open_world_pairs() {
-            println!(
-                "{:<13} {:>16} {:>16}",
-                name, closed.global_pairs, open.global_pairs
-            );
-        }
+        print!("{}", jsonout::report(&engine, &which));
+    } else {
+        print!("{}", tb::render_report(&engine, &which));
     }
     if stats {
-        print_stats(&engine);
-    }
-}
-
-fn print_stats(engine: &tb::Engine) {
-    let s = engine.stats();
-    eprintln!(
-        "engine: {} compiles, {} analyses, {} optimized variants, {} executions ({} threads)",
-        s.compiles,
-        s.analyses_built,
-        s.variants_built,
-        s.executions,
-        engine.threads()
-    );
-}
-
-/// Emits the selected tables as newline-delimited JSON rows. Each
-/// section is encoded while its source rows are still alive — the JSON
-/// values borrow the row data rather than cloning it.
-fn emit_json(engine: &tb::Engine, which: &str, all: bool) {
-    fn emit(rows: Vec<tbaa_server::json::Value<'_>>) {
-        for row in rows {
-            println!("{}", row.encode());
-        }
-    }
-    if all || which == "table4" {
-        emit(jsonout::table4_json(&engine.table4()));
-    }
-    if all || which == "table5" {
-        emit(jsonout::table5_json(&engine.table5()));
-    }
-    if all || which == "table6" {
-        emit(jsonout::table6_json(&engine.table6()));
-    }
-    if all || which == "fig8" {
-        emit(jsonout::runtime_json("fig8", &engine.fig8()));
-    }
-    if all || which == "fig9" {
-        emit(jsonout::fig9_json(&engine.fig9()));
-    }
-    if all || which == "fig10" {
-        emit(jsonout::fig10_json(&engine.fig10()));
-    }
-    if all || which == "fig11" {
-        emit(jsonout::runtime_json("fig11", &engine.fig11()));
-    }
-    if all || which == "fig12" {
-        emit(jsonout::runtime_json("fig12", &engine.fig12()));
-        emit(jsonout::open_world_pairs_json(&engine.open_world_pairs()));
+        let s = engine.stats();
+        eprintln!(
+            "engine: {} compiles, {} analyses, {} optimized variants, {} executions ({} threads)",
+            s.compiles,
+            s.analyses_built,
+            s.variants_built,
+            s.executions,
+            engine.threads()
+        );
     }
 }

@@ -12,8 +12,9 @@
 //! * compiles each benchmark **once** per scale into an `Arc<Program>`;
 //! * memoizes [`Tbaa::build`] results keyed by `(program, Level, World)`;
 //! * memoizes optimized program variants keyed by their [`OptOptions`];
-//! * memoizes interpreter runs, cycle simulations, and redundancy traces
-//!   per program variant;
+//! * memoizes one profiled interpreter run per program variant — its
+//!   counters, cache statistics, cycles and redundancy trace come from a
+//!   single pass (`tbaa_sim::profile`);
 //! * fans row computations out across a scoped worker pool
 //!   (`std::thread::scope` + an atomic work-stealing cursor), which is
 //!   sound because `Program` and `Tbaa` are `Send + Sync` and every
@@ -37,8 +38,8 @@ use tbaa_benchsuite::{suite, Benchmark};
 use tbaa_ir::ir::Program;
 use tbaa_opt::rle::run_rle;
 use tbaa_opt::{optimize, OptOptions, OptReport};
-use tbaa_sim::interp::{run, ExecCounts, NullHook, RunConfig};
-use tbaa_sim::{classify_remaining, simulate, RedundancyTrace};
+use tbaa_sim::interp::RunConfig;
+use tbaa_sim::{classify_remaining, profile, Profile};
 
 use crate::{
     Fig10Row, Fig9Row, RuntimeRow, Table4Row, Table5Row, Table6Row,
@@ -66,7 +67,7 @@ pub struct EngineStats {
     pub engines_compiled: usize,
     /// Optimized program variants materialized.
     pub variants_built: usize,
-    /// Interpreter / simulator executions.
+    /// Profiled interpreter runs (one per program variant).
     pub executions: usize,
 }
 
@@ -78,18 +79,12 @@ pub struct Engine {
     analyses: Memo<(&'static str, Level, World), Tbaa>,
     compiled: Memo<(&'static str, Level, World), CompiledAliasEngine>,
     optimized: Memo<(&'static str, OptOptions), (Program, OptReport)>,
-    counts: Memo<(&'static str, Variant), ExecCounts>,
-    cycles: Memo<(&'static str, Variant), f64>,
-    traces: Memo<(&'static str, Variant), RedundancyTrace>,
+    profiles: Memo<(&'static str, Variant), Profile>,
     compiles: AtomicUsize,
     analyses_built: AtomicUsize,
     engines_compiled: AtomicUsize,
     variants_built: AtomicUsize,
     executions: AtomicUsize,
-}
-
-fn run_config() -> RunConfig {
-    RunConfig::default()
 }
 
 impl Engine {
@@ -109,9 +104,7 @@ impl Engine {
             analyses: Memo::new(),
             compiled: Memo::new(),
             optimized: Memo::new(),
-            counts: Memo::new(),
-            cycles: Memo::new(),
-            traces: Memo::new(),
+            profiles: Memo::new(),
             compiles: AtomicUsize::new(0),
             analyses_built: AtomicUsize::new(0),
             engines_compiled: AtomicUsize::new(0),
@@ -207,43 +200,16 @@ impl Engine {
         })
     }
 
-    fn with_variant<R>(&self, b: &Benchmark, v: Variant, f: impl FnOnce(&Program) -> R) -> R {
-        match v {
-            Variant::Base => f(&self.program(b)),
-            Variant::Optimized(opts) => f(&self.optimized(b, opts).0),
-        }
-    }
-
-    /// Interpreter counters for a program variant.
-    fn exec_counts(&self, b: &Benchmark, v: Variant) -> Arc<ExecCounts> {
-        self.counts.get_or_build((b.name, v), || {
+    /// Counters, cache statistics, cycles and redundancy trace of a
+    /// program variant, from one interpreter run.
+    fn profile(&self, b: &Benchmark, v: Variant) -> Arc<Profile> {
+        self.profiles.get_or_build((b.name, v), || {
             self.executions.fetch_add(1, Ordering::Relaxed);
-            self.with_variant(b, v, |p| {
-                run(p, &mut NullHook, run_config()).expect("suite runs").counts
-            })
-        })
-    }
-
-    /// Simulated cycle count for a program variant.
-    fn sim_cycles(&self, b: &Benchmark, v: Variant) -> f64 {
-        *self.cycles.get_or_build((b.name, v), || {
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            self.with_variant(b, v, |p| {
-                let (_, _, cycles) = simulate(p, run_config()).expect("suite runs");
-                cycles
-            })
-        })
-    }
-
-    /// Redundancy trace for a program variant.
-    fn trace(&self, b: &Benchmark, v: Variant) -> Arc<RedundancyTrace> {
-        self.traces.get_or_build((b.name, v), || {
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            self.with_variant(b, v, |p| {
-                let mut t = RedundancyTrace::new();
-                run(p, &mut t, run_config()).expect("suite runs");
-                t
-            })
+            let run = |p: &Program| profile(p, RunConfig::default()).expect("suite runs");
+            match v {
+                Variant::Base => run(&self.program(b)),
+                Variant::Optimized(opts) => run(&self.optimized(b, opts).0),
+            }
         })
     }
 
@@ -294,7 +260,7 @@ impl Engine {
             let (instructions, heap, other) = if b.interactive {
                 (None, None, None)
             } else {
-                let counts = self.exec_counts(b, Variant::Base);
+                let counts = self.profile(b, Variant::Base).counts;
                 (
                     Some(counts.instructions),
                     Some(counts.heap_load_pct()),
@@ -352,10 +318,12 @@ impl Engine {
     pub fn fig8(&self) -> Vec<RuntimeRow> {
         let items = Self::non_interactive();
         self.par_map(&items, |b| {
-            let base_cycles = self.sim_cycles(b, Variant::Base);
+            let base_cycles = self.profile(b, Variant::Base).cycles;
             let mut pct = Vec::new();
             for level in Level::ALL {
-                let c = self.sim_cycles(b, Variant::Optimized(OptOptions::rle_only(level)));
+                let c = self
+                    .profile(b, Variant::Optimized(OptOptions::rle_only(level)))
+                    .cycles;
                 pct.push(100.0 * c / base_cycles);
             }
             RuntimeRow {
@@ -375,8 +343,8 @@ impl Engine {
         let items = Self::non_interactive();
         let sm = OptOptions::rle_only(Level::SmFieldTypeRefs);
         self.par_map(&items, |b| {
-            let t_base = self.trace(b, Variant::Base);
-            let t_opt = self.trace(b, Variant::Optimized(sm));
+            let t_base = &self.profile(b, Variant::Base).trace;
+            let t_opt = &self.profile(b, Variant::Optimized(sm)).trace;
             Fig9Row {
                 name: b.name,
                 limit: LimitResult {
@@ -394,17 +362,17 @@ impl Engine {
         let items = Self::non_interactive();
         let sm = OptOptions::rle_only(Level::SmFieldTypeRefs);
         self.par_map(&items, |b| {
-            let t_base = self.trace(b, Variant::Base);
-            let trace = self.trace(b, Variant::Optimized(sm));
+            let base_heap_loads = self.profile(b, Variant::Base).trace.heap_loads;
+            let trace = &self.profile(b, Variant::Optimized(sm)).trace;
             let analysis = self.analysis(b, Level::SmFieldTypeRefs, World::Closed);
             // `classify_remaining` interns shadow access paths, so it
             // needs its own mutable copy of the optimized program.
             let mut opt = self.optimized(b, sm).0.clone();
-            let breakdown = classify_remaining(&mut opt, &analysis, &trace);
+            let breakdown = classify_remaining(&mut opt, &analysis, trace);
             Fig10Row {
                 name: b.name,
                 breakdown,
-                original_heap_loads: t_base.heap_loads,
+                original_heap_loads: base_heap_loads,
             }
         })
     }
@@ -420,10 +388,10 @@ impl Engine {
         };
         let full = OptOptions::full(Level::SmFieldTypeRefs);
         self.par_map(&items, |b| {
-            let base_cycles = self.sim_cycles(b, Variant::Base);
+            let base_cycles = self.profile(b, Variant::Base).cycles;
             let pct = [rle, minv, full]
                 .into_iter()
-                .map(|o| 100.0 * self.sim_cycles(b, Variant::Optimized(o)) / base_cycles)
+                .map(|o| 100.0 * self.profile(b, Variant::Optimized(o)).cycles / base_cycles)
                 .collect();
             RuntimeRow {
                 name: b.name,
@@ -437,12 +405,12 @@ impl Engine {
     pub fn fig12(&self) -> Vec<RuntimeRow> {
         let items = Self::non_interactive();
         self.par_map(&items, |b| {
-            let base_cycles = self.sim_cycles(b, Variant::Base);
+            let base_cycles = self.profile(b, Variant::Base).cycles;
             let mut pct = Vec::new();
             for world in [World::Closed, World::Open] {
                 let mut opts = OptOptions::rle_only(Level::SmFieldTypeRefs);
                 opts.world = world;
-                let c = self.sim_cycles(b, Variant::Optimized(opts));
+                let c = self.profile(b, Variant::Optimized(opts)).cycles;
                 pct.push(100.0 * c / base_cycles);
             }
             RuntimeRow {
@@ -477,8 +445,7 @@ const _: () = {
     assert_send_sync::<Tbaa>();
     assert_send_sync::<CompiledAliasEngine>();
     assert_send_sync::<OptReport>();
-    assert_send_sync::<ExecCounts>();
-    assert_send_sync::<RedundancyTrace>();
+    assert_send_sync::<Profile>();
     assert_send_sync::<Engine>();
 };
 

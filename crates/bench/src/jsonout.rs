@@ -11,7 +11,7 @@
 
 use tbaa_server::json::Value;
 
-use crate::{Fig9Row, Fig10Row, RuntimeRow, Table4Row, Table5Row, Table6Row};
+use crate::{Engine, Fig10Row, Fig9Row, RuntimeRow, Table4Row, Table5Row, Table6Row};
 use tbaa::AliasPairCounts;
 
 /// Level labels in the order `Table5Row::by_level` / `Table6Row::removed`
@@ -181,6 +181,48 @@ pub fn open_world_pairs_json(
             )
         })
         .collect()
+}
+
+/// Everything `paper-tables <which> --json` prints: the named table or
+/// figure (`"all"` for every one), one encoded row per line. Each section
+/// is encoded while its source rows are still alive — the JSON values
+/// borrow the row data rather than cloning it.
+pub fn report(engine: &Engine, which: &str) -> String {
+    fn emit(out: &mut String, rows: Vec<Value<'_>>) {
+        for row in rows {
+            out.push_str(&row.encode());
+            out.push('\n');
+        }
+    }
+    let all = which == "all";
+    let want = |name: &str| all || which == name;
+    let mut out = String::new();
+    if want("table4") {
+        emit(&mut out, table4_json(&engine.table4()));
+    }
+    if want("table5") {
+        emit(&mut out, table5_json(&engine.table5()));
+    }
+    if want("table6") {
+        emit(&mut out, table6_json(&engine.table6()));
+    }
+    if want("fig8") {
+        emit(&mut out, runtime_json("fig8", &engine.fig8()));
+    }
+    if want("fig9") {
+        emit(&mut out, fig9_json(&engine.fig9()));
+    }
+    if want("fig10") {
+        emit(&mut out, fig10_json(&engine.fig10()));
+    }
+    if want("fig11") {
+        emit(&mut out, runtime_json("fig11", &engine.fig11()));
+    }
+    if want("fig12") {
+        emit(&mut out, runtime_json("fig12", &engine.fig12()));
+        emit(&mut out, open_world_pairs_json(&engine.open_world_pairs()));
+    }
+    out
 }
 
 #[cfg(test)]

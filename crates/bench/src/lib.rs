@@ -241,6 +241,67 @@ pub fn render_runtime(title: &str, rows: &[RuntimeRow]) -> String {
     s
 }
 
+/// Everything `paper-tables <which>` prints: a header, then the named
+/// table or figure (`"all"` for every one, in paper order), each followed
+/// by a blank line. Figure 12 carries the static open-world comparison.
+pub fn render_report(engine: &Engine, which: &str) -> String {
+    let all = which == "all";
+    let want = |name: &str| all || which == name;
+    let mut s = format!(
+        "Type-Based Alias Analysis (PLDI 1998) — reproduction tables (scale {})\n\n",
+        engine.scale()
+    );
+    let mut section = |text: String| {
+        s.push_str(&text);
+        s.push('\n');
+    };
+    if want("table4") {
+        section(render_table4(&engine.table4()));
+    }
+    if want("table5") {
+        section(render_table5(&engine.table5()));
+    }
+    if want("table6") {
+        section(render_table6(&engine.table6()));
+    }
+    if want("fig8") {
+        section(render_runtime(
+            "Figure 8: Impact of RLE (percent of original running time)",
+            &engine.fig8(),
+        ));
+    }
+    if want("fig9") {
+        section(render_fig9(&engine.fig9()));
+    }
+    if want("fig10") {
+        section(render_fig10(&engine.fig10()));
+    }
+    if want("fig11") {
+        section(render_runtime(
+            "Figure 11: Cumulative Impact of Optimizations (percent of original time)",
+            &engine.fig11(),
+        ));
+    }
+    if want("fig12") {
+        section(render_runtime(
+            "Figure 12: Open and Closed World Assumptions (percent of original time)",
+            &engine.fig12(),
+        ));
+        s.push_str("Static open-world comparison (SMFieldTypeRefs):\n");
+        s.push_str(&format!(
+            "{:<13} {:>16} {:>16}\n",
+            "Program", "Closed G-pairs", "Open G-pairs"
+        ));
+        for (name, closed, open) in engine.open_world_pairs() {
+            s.push_str(&format!(
+                "{:<13} {:>16} {:>16}\n",
+                name, closed.global_pairs, open.global_pairs
+            ));
+        }
+    }
+    s
+}
+
 /// Renders Figure 9.
 pub fn render_fig9(rows: &[Fig9Row]) -> String {
     let mut s = String::from(

@@ -76,6 +76,8 @@ pub struct Cache {
     config: CacheConfig,
     sets: Vec<Way>,
     n_sets: u64,
+    /// `log2(line_bytes)`: an address's line is `addr >> line_shift`.
+    line_shift: u32,
     clock: u64,
     /// Statistics.
     pub stats: CacheStats,
@@ -103,6 +105,7 @@ impl Cache {
                 lines as usize
             ],
             n_sets,
+            line_shift: config.line_bytes.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -111,7 +114,7 @@ impl Cache {
     /// Simulates a load; returns whether it hit.
     pub fn load(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let line = addr / self.config.line_bytes;
+        let line = addr >> self.line_shift;
         let set = (line % self.n_sets) as usize;
         let ways = self.config.ways as usize;
         let base = set * ways;

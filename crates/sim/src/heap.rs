@@ -36,18 +36,18 @@ impl Heap {
         Heap::default()
     }
 
-    /// Allocates a cell of `n_slots` slots, all initialized to `init`.
-    pub fn alloc(&mut self, ty: TypeId, n_slots: u32, init: Value) -> HeapId {
+    /// Allocates a cell holding `slots` (an empty cell still gets one
+    /// `NIL` slot of storage).
+    pub fn alloc(&mut self, ty: TypeId, mut slots: Vec<Value>) -> HeapId {
         let id = HeapId(self.cells.len() as u32);
         let addr = HEAP_BASE + self.next_offset;
         // 8 bytes per slot plus an 8-byte header, 16-byte aligned.
-        let bytes = (n_slots as u64 + 1) * 8;
+        let bytes = (slots.len() as u64 + 1) * 8;
         self.next_offset += bytes.div_ceil(16) * 16;
-        self.cells.push(HeapCell {
-            ty,
-            slots: vec![init; n_slots.max(1) as usize],
-            addr,
-        });
+        if slots.is_empty() {
+            slots.push(Value::Nil);
+        }
+        self.cells.push(HeapCell { ty, slots, addr });
         id
     }
 
@@ -84,8 +84,8 @@ mod tests {
     #[test]
     fn alloc_assigns_distinct_addresses() {
         let mut h = Heap::new();
-        let a = h.alloc(TypeId(0), 2, Value::Nil);
-        let b = h.alloc(TypeId(0), 2, Value::Nil);
+        let a = h.alloc(TypeId(0), vec![Value::Nil; 2]);
+        let b = h.alloc(TypeId(0), vec![Value::Nil; 2]);
         assert_ne!(a, b);
         assert!(h.cell(b).addr > h.cell(a).addr);
         assert_eq!(h.cell(a).addr % 16, 0);
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn cells_hold_values() {
         let mut h = Heap::new();
-        let a = h.alloc(TypeId(7), 3, Value::Int(0));
+        let a = h.alloc(TypeId(7), vec![Value::Int(0); 3]);
         h.cell_mut(a).slots[1] = Value::Int(42);
         assert_eq!(h.cell(a).slots[1], Value::Int(42));
         assert_eq!(h.cell(a).ty, TypeId(7));
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn zero_slot_alloc_still_has_storage() {
         let mut h = Heap::new();
-        let a = h.alloc(TypeId(0), 0, Value::Nil);
+        let a = h.alloc(TypeId(0), Vec::new());
         assert_eq!(h.cell(a).slots.len(), 1);
     }
 }

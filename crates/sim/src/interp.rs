@@ -18,11 +18,12 @@ use crate::heap::Heap;
 use crate::value::{HeapId, Location, Value};
 use mini_m3::ast::{BinOp, UnOp};
 use mini_m3::types::{TypeId, TypeKind};
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use tbaa_ir::ir::{
-    BlockId, Instr, IntrinsicOp, MemAddr, Operand, Program, Reg, SlotAddr, SlotBase, Terminator,
-    VarClass,
+    BlockId, Function, Instr, IntrinsicOp, MemAddr, Operand, Program, Reg, SlotAddr, SlotBase,
+    Terminator, VarClass,
 };
 use tbaa_ir::path::{ApId, FuncId, VarId};
 
@@ -80,6 +81,24 @@ pub struct MemEvent<'v> {
 pub trait MemHook {
     /// Called once per memory reference, in execution order.
     fn access(&mut self, ev: &MemEvent<'_>);
+
+    /// Called once when the run ends, whether it succeeded or trapped:
+    /// the place to drop state that only the run itself needs.
+    fn finish(&mut self) {}
+}
+
+/// Two hooks observing one run: every event goes to the first, then the
+/// second.
+impl<A: MemHook, B: MemHook> MemHook for (A, B) {
+    fn access(&mut self, ev: &MemEvent<'_>) {
+        self.0.access(ev);
+        self.1.access(ev);
+    }
+
+    fn finish(&mut self) {
+        self.0.finish();
+        self.1.finish();
+    }
 }
 
 /// A hook that ignores everything.
@@ -206,17 +225,25 @@ impl Default for RunConfig {
 
 /// Runs a program's `<main>` with the given hook.
 ///
+/// The hook is a type parameter so concrete hooks inline into the
+/// interpreter loop; `&mut dyn MemHook` still works. The hook's
+/// [`MemHook::finish`] runs when the run ends, whether it succeeded or
+/// trapped.
+///
 /// # Errors
 ///
 /// Returns a [`RuntimeError`] if the program traps or exhausts its budget.
-pub fn run(
+pub fn run<H: MemHook + ?Sized>(
     prog: &Program,
-    hook: &mut dyn MemHook,
+    hook: &mut H,
     config: RunConfig,
 ) -> Result<RunOutcome, RuntimeError> {
     let mut interp = Interp::new(prog, hook, config);
-    interp.push_frame(prog.main, Vec::new(), None, (BlockId(0), 0), true)?;
-    interp.exec()?;
+    let result = interp
+        .push_frame(prog.main, &[], None, (BlockId(0), 0), true)
+        .and_then(|()| interp.exec());
+    interp.hook.finish();
+    result?;
     Ok(RunOutcome {
         counts: interp.counts,
         output: interp.output,
@@ -224,10 +251,13 @@ pub fn run(
     })
 }
 
+/// One activation. Its registers and variable slots live in the
+/// interpreter's shared register and slot stacks, starting at
+/// `reg_base` and `slot_base`.
 struct Frame {
     func: FuncId,
-    regs: Vec<Value>,
-    vars: Vec<Vec<Value>>,
+    reg_base: usize,
+    slot_base: usize,
     activation: u64,
     base_addr: u64,
     /// Bytes to give back to the simulated stack pointer on return.
@@ -238,21 +268,42 @@ struct Frame {
     resume: (BlockId, usize),
 }
 
-/// Per-function frame layout: slot offset of each variable.
+/// Per-function frame layout, built once per run.
 struct Layout {
+    /// Simulated-address slot offset of each variable.
     var_offsets: Vec<u32>,
+    /// Simulated frame size in slots.
     size: u32,
+    /// Start and length of each variable's storage in the activation's
+    /// slot buffer.
+    storage: Vec<(u32, u32)>,
+    /// The zero-initialized slot buffer every activation starts from.
+    zero: Vec<Value>,
 }
 
-struct Interp<'p, 'h> {
+struct Interp<'p, 'h, H: ?Sized> {
     prog: &'p Program,
-    hook: &'h mut dyn MemHook,
+    hook: &'h mut H,
     config: RunConfig,
     heap: Heap,
     globals: Vec<Vec<Value>>,
     frames: Vec<Frame>,
+    /// Registers of every live activation, innermost last.
+    regs: Vec<Value>,
+    /// Variable slots of every live activation, innermost last.
+    slots: Vec<Value>,
+    /// The innermost activation's `reg_base` and id.
+    rb: usize,
+    act: u64,
     layouts: Vec<Layout>,
     texts: Vec<Arc<str>>,
+    empty_text: Arc<str>,
+    /// Zero-initialized cell slots of `NEW(T)`, per type, built on first use.
+    new_templates: Vec<Option<Vec<Value>>>,
+    /// Zero slots of one value of each type, built on first use.
+    zero_templates: Vec<Option<Vec<Value>>>,
+    /// Resolved dispatch targets by (dynamic type, method name).
+    methods: HashMap<(TypeId, &'p str), FuncId>,
     counts: ExecCounts,
     output: String,
     fuel: u64,
@@ -260,30 +311,39 @@ struct Interp<'p, 'h> {
     sp: u64,
 }
 
-impl<'p, 'h> Interp<'p, 'h> {
-    fn new(prog: &'p Program, hook: &'h mut dyn MemHook, config: RunConfig) -> Self {
+impl<'p, 'h, H: MemHook + ?Sized> Interp<'p, 'h, H> {
+    fn new(prog: &'p Program, hook: &'h mut H, config: RunConfig) -> Self {
+        let empty_text: Arc<str> = Arc::from("");
         let globals = prog
             .globals
             .iter()
-            .map(|g| zero_storage(prog, g.ty, g.size))
+            .map(|g| zero_storage(prog, &empty_text, g.ty, g.size))
             .collect();
         let layouts = prog
             .funcs
             .iter()
             .map(|f| {
-                let mut offsets = Vec::with_capacity(f.vars.len());
+                let mut var_offsets = Vec::with_capacity(f.vars.len());
+                let mut storage = Vec::with_capacity(f.vars.len());
+                let mut zero = Vec::new();
                 let mut size = 0u32;
                 for v in &f.vars {
-                    offsets.push(size);
+                    var_offsets.push(size);
                     size += v.size;
+                    let z = zero_storage(prog, &empty_text, v.ty, v.size);
+                    storage.push((zero.len() as u32, z.len() as u32));
+                    zero.extend(z);
                 }
                 Layout {
-                    var_offsets: offsets,
+                    var_offsets,
                     size,
+                    storage,
+                    zero,
                 }
             })
             .collect();
         let texts = prog.texts.iter().map(|t| Arc::from(t.as_str())).collect();
+        let n_types = prog.types.len();
         Interp {
             prog,
             hook,
@@ -291,8 +351,16 @@ impl<'p, 'h> Interp<'p, 'h> {
             heap: Heap::new(),
             globals,
             frames: Vec::new(),
+            regs: Vec::new(),
+            slots: Vec::new(),
+            rb: 0,
+            act: 0,
             layouts,
             texts,
+            empty_text,
+            new_templates: vec![None; n_types],
+            zero_templates: vec![None; n_types],
+            methods: HashMap::new(),
             counts: ExecCounts::default(),
             output: String::new(),
             fuel: config.fuel,
@@ -303,10 +371,6 @@ impl<'p, 'h> Interp<'p, 'h> {
 
     fn frame(&self) -> &Frame {
         self.frames.last().expect("active frame")
-    }
-
-    fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("active frame")
     }
 
     fn spend(&mut self, n: u64) -> Result<(), RuntimeError> {
@@ -320,7 +384,7 @@ impl<'p, 'h> Interp<'p, 'h> {
 
     fn operand(&self, op: Operand) -> Value {
         match op {
-            Operand::Reg(r) => self.frame().regs[r.0 as usize].clone(),
+            Operand::Reg(r) => self.regs[self.rb + r.0 as usize].clone(),
             Operand::ImmInt(v) => Value::Int(v),
             Operand::ImmBool(b) => Value::Bool(b),
             Operand::ImmChar(c) => Value::Char(c),
@@ -328,22 +392,53 @@ impl<'p, 'h> Interp<'p, 'h> {
         }
     }
 
-    fn set_reg(&mut self, r: tbaa_ir::ir::Reg, v: Value) {
-        self.frame_mut().regs[r.0 as usize] = v;
+    /// An INTEGER operand, read without cloning.
+    fn int(&self, op: Operand) -> i64 {
+        match op {
+            Operand::Reg(r) => self.regs[self.rb + r.0 as usize].as_int(),
+            Operand::ImmInt(v) => v,
+            other => self.operand(other).as_int(),
+        }
+    }
+
+    /// A BOOLEAN operand, read without cloning.
+    fn bool(&self, op: Operand) -> bool {
+        match op {
+            Operand::Reg(r) => self.regs[self.rb + r.0 as usize].as_bool(),
+            Operand::ImmBool(b) => b,
+            other => self.operand(other).as_bool(),
+        }
+    }
+
+    fn set_reg(&mut self, r: Reg, v: Value) {
+        self.regs[self.rb + r.0 as usize] = v;
     }
 
     // ---- addresses ------------------------------------------------------
 
-    fn slot_index(&self, addr: &SlotAddr, storage_len: usize) -> Result<u32, RuntimeError> {
+    fn slot_index(&self, addr: &SlotAddr, storage_len: u32) -> Result<u32, RuntimeError> {
         let mut idx = addr.offset as i64;
         for (op, lo, scale) in &addr.indices {
-            let i = self.operand(*op).as_int();
-            idx += (i - lo) * *scale as i64;
+            idx += (self.int(*op) - lo) * *scale as i64;
         }
-        if idx < 0 || idx as usize >= storage_len {
+        if idx < 0 || idx >= storage_len as i64 {
             return Err(RuntimeError::OutOfBounds);
         }
         Ok(idx as u32)
+    }
+
+    /// Start and length of a local's storage in the innermost activation.
+    fn local_storage(&self, var: VarId) -> (usize, u32) {
+        let f = self.frame();
+        let (start, len) = self.layouts[f.func.0 as usize].storage[var.0 as usize];
+        (f.slot_base + start as usize, len)
+    }
+
+    /// Index in the slot stack of `(var, offset)` in activation `frame_idx`.
+    fn frame_slot(&self, frame_idx: usize, var: VarId, offset: u32) -> usize {
+        let f = &self.frames[frame_idx];
+        let start = self.layouts[f.func.0 as usize].storage[var.0 as usize].0;
+        f.slot_base + (start + offset) as usize
     }
 
     fn frame_slot_addr(&self, frame_idx: usize, var: VarId, offset: u32) -> u64 {
@@ -358,16 +453,14 @@ impl<'p, 'h> Interp<'p, 'h> {
 
     /// Resolves a heap address to (cell, slot), checking bounds and NIL.
     fn mem_slot(&self, addr: &MemAddr) -> Result<(HeapId, u32), RuntimeError> {
-        let base = self.operand(addr.base);
-        let cell = match base {
+        let cell = match self.operand(addr.base) {
             Value::Ref(c) => c,
             Value::Nil => return Err(RuntimeError::NilDeref),
             other => panic!("heap access through non-reference {other:?}"),
         };
         let mut idx = addr.offset as i64;
         for (op, lo, scale) in &addr.indices {
-            let i = self.operand(*op).as_int();
-            idx += (i - lo) * *scale as i64;
+            idx += (self.int(*op) - lo) * *scale as i64;
         }
         if idx < 0 || idx as usize >= self.heap.cell(cell).slots.len() {
             return Err(RuntimeError::OutOfBounds);
@@ -378,6 +471,7 @@ impl<'p, 'h> Interp<'p, 'h> {
     // ---- events ---------------------------------------------------------
 
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn emit(
         &mut self,
         addr: u64,
@@ -394,7 +488,6 @@ impl<'p, 'h> Interp<'p, 'h> {
             (_, true) => self.counts.other_loads += 1,
             (_, false) => self.counts.other_stores += 1,
         }
-        let activation = self.frame().activation;
         self.hook.access(&MemEvent {
             addr,
             kind,
@@ -402,18 +495,19 @@ impl<'p, 'h> Interp<'p, 'h> {
             hidden,
             site,
             ap,
-            activation,
+            activation: self.act,
             value,
         });
     }
 
     // ---- calls ----------------------------------------------------------
 
-    /// Pushes an activation. `resume` is where the *caller* continues.
+    /// Pushes an activation whose parameters take `args`, read in the
+    /// caller's frame. `resume` is where the *caller* continues.
     fn push_frame(
         &mut self,
         fid: FuncId,
-        args: Vec<Value>,
+        args: &[Operand],
         ret_dst: Option<Reg>,
         resume: (BlockId, usize),
         is_main: bool,
@@ -421,36 +515,36 @@ impl<'p, 'h> Interp<'p, 'h> {
         if self.frames.len() >= self.config.max_depth {
             return Err(RuntimeError::StackOverflow);
         }
-        let func = self.prog.func(fid);
         let layout = &self.layouts[fid.0 as usize];
         let frame_bytes = (layout.size as u64 + 4) * 8;
         self.sp -= frame_bytes;
         let base_addr = self.sp;
         let activation = self.next_activation;
         self.next_activation += 1;
-        let mut vars: Vec<Vec<Value>> = func
-            .vars
-            .iter()
-            .map(|v| zero_storage(self.prog, v.ty, v.size))
-            .collect();
-        let n_args = args.len();
-        for (i, a) in args.into_iter().enumerate() {
-            vars[i][0] = a;
+        let slot_base = self.slots.len();
+        self.slots.extend_from_slice(&layout.zero);
+        for (i, a) in args.iter().enumerate() {
+            let v = self.operand(*a);
+            self.slots[slot_base + layout.storage[i].0 as usize] = v;
         }
+        let reg_base = self.regs.len();
+        let n_regs = self.prog.func(fid).n_regs as usize;
+        self.regs.resize(reg_base + n_regs, Value::Nil);
         self.frames.push(Frame {
             func: fid,
-            regs: vec![Value::Nil; func.n_regs as usize],
-            vars,
+            reg_base,
+            slot_base,
             activation,
             base_addr,
             frame_bytes,
             ret_dst,
             resume,
         });
+        (self.rb, self.act) = (reg_base, activation);
         // Call overhead: frame setup traffic (hidden stack events).
         if !is_main {
             self.spend(CALL_EXTRA_INSTRS)?;
-            for k in 0..(2 + n_args as u64) {
+            for k in 0..(2 + args.len() as u64) {
                 self.emit(
                     base_addr + k * 8,
                     MemKind::Stack,
@@ -465,15 +559,29 @@ impl<'p, 'h> Interp<'p, 'h> {
         Ok(())
     }
 
+    /// Pops the innermost activation; returns it and makes its caller
+    /// current.
+    fn pop_frame(&mut self) -> Frame {
+        let fr = self.frames.pop().expect("active frame");
+        self.sp += fr.frame_bytes;
+        self.regs.truncate(fr.reg_base);
+        self.slots.truncate(fr.slot_base);
+        if let Some(top) = self.frames.last() {
+            (self.rb, self.act) = (top.reg_base, top.activation);
+        }
+        fr
+    }
+
     /// The main execution loop. Calls push activations rather than
     /// recursing on the Rust stack, so MiniM3 recursion depth is bounded
     /// only by [`RunConfig::max_depth`].
     fn exec(&mut self) -> Result<(), RuntimeError> {
+        let prog = self.prog;
         let mut bb = BlockId(0);
         let mut ii = 0usize;
         'outer: loop {
             let fid = self.frame().func;
-            let func = self.prog.func(fid);
+            let func = prog.func(fid);
             let block = func.block(bb);
             while ii < block.instrs.len() {
                 let instr = &block.instrs[ii];
@@ -486,8 +594,7 @@ impl<'p, 'h> Interp<'p, 'h> {
                     } => {
                         self.spend(1)?;
                         self.counts.calls += 1;
-                        let argv: Vec<Value> = args.iter().map(|a| self.operand(*a)).collect();
-                        self.push_frame(*callee, argv, *dst, (bb, ii + 1), false)?;
+                        self.push_frame(*callee, args, *dst, (bb, ii + 1), false)?;
                         bb = BlockId(0);
                         ii = 0;
                         continue 'outer;
@@ -498,9 +605,8 @@ impl<'p, 'h> Interp<'p, 'h> {
                         self.spend(1)?;
                         self.counts.method_calls += 1;
                         self.spend(DISPATCH_EXTRA_INSTRS)?;
-                        let argv: Vec<Value> = args.iter().map(|a| self.operand(*a)).collect();
-                        let recv_cell = match &argv[0] {
-                            Value::Ref(c) => *c,
+                        let recv_cell = match self.operand(args[0]) {
+                            Value::Ref(c) => c,
                             Value::Nil => return Err(RuntimeError::NilDeref),
                             other => panic!("method receiver {other:?}"),
                         };
@@ -510,13 +616,13 @@ impl<'p, 'h> Interp<'p, 'h> {
                         self.emit(hdr, MemKind::Heap, true, true, None, None, None);
                         let dyn_ty = self.heap.cell(recv_cell).ty;
                         let target = self.resolve_method(dyn_ty, method)?;
-                        self.push_frame(target, argv, *dst, (bb, ii + 1), false)?;
+                        self.push_frame(target, args, *dst, (bb, ii + 1), false)?;
                         bb = BlockId(0);
                         ii = 0;
                         continue 'outer;
                     }
                     _ => {
-                        self.exec_instr(fid, bb, ii as u32, instr)?;
+                        self.exec_instr(func, fid, bb, ii as u32, instr)?;
                         ii += 1;
                     }
                 }
@@ -532,11 +638,7 @@ impl<'p, 'h> Interp<'p, 'h> {
                     else_bb,
                 } => {
                     self.spend(1)?;
-                    bb = if self.operand(*cond).as_bool() {
-                        *then_bb
-                    } else {
-                        *else_bb
-                    };
+                    bb = if self.bool(*cond) { *then_bb } else { *else_bb };
                     ii = 0;
                 }
                 Terminator::Return(op) => {
@@ -557,15 +659,14 @@ impl<'p, 'h> Interp<'p, 'h> {
                             );
                         }
                     }
-                    let fr = self.frames.pop().expect("active frame");
-                    self.sp += fr.frame_bytes;
+                    let fr = self.pop_frame();
                     if is_main {
                         return Ok(());
                     }
                     match (fr.ret_dst, value) {
                         (Some(d), Some(v)) => self.set_reg(d, v),
                         (Some(_), None) => {
-                            let name = self.prog.func(fr.func).name.clone();
+                            let name = prog.func(fr.func).name.clone();
                             return Err(RuntimeError::MissingReturn(name));
                         }
                         _ => {}
@@ -581,27 +682,33 @@ impl<'p, 'h> Interp<'p, 'h> {
 
     fn exec_instr(
         &mut self,
+        func: &Function,
         fid: FuncId,
         bb: BlockId,
         ii: u32,
         instr: &Instr,
     ) -> Result<(), RuntimeError> {
         // Plain reads/writes of register-class locals are register moves a
-        // register-allocating back end coalesces away: free.
-        let free = match instr {
-            Instr::LoadSlot { addr, .. } | Instr::StoreSlot { addr, .. } if addr.is_simple() => {
-                match addr.base {
-                    SlotBase::Local(v) => {
-                        self.prog.func(fid).vars[v.0 as usize].class == VarClass::Register
-                    }
-                    SlotBase::Global(_) => false,
+        // register-allocating back end coalesces away: free, and no memory
+        // event.
+        match instr {
+            Instr::LoadSlot { dst, addr } => {
+                if let Some(v) = register_local(func, addr) {
+                    let x = self.slots[self.local_storage(v).0].clone();
+                    self.set_reg(*dst, x);
+                    return Ok(());
                 }
             }
-            _ => false,
-        };
-        if !free {
-            self.spend(1)?;
+            Instr::StoreSlot { addr, src } => {
+                if let Some(v) = register_local(func, addr) {
+                    let at = self.local_storage(v).0;
+                    self.slots[at] = self.operand(*src);
+                    return Ok(());
+                }
+            }
+            _ => {}
         }
+        self.spend(1)?;
         let site = Some((fid, bb, ii));
         match instr {
             Instr::ConstText { dst, text } => {
@@ -613,26 +720,23 @@ impl<'p, 'h> Interp<'p, 'h> {
                 self.set_reg(*dst, v);
             }
             Instr::Un { dst, op, src } => {
-                let v = self.operand(*src);
                 let r = match op {
-                    UnOp::Neg => Value::Int(-v.as_int()),
-                    UnOp::Not => Value::Bool(!v.as_bool()),
+                    UnOp::Neg => Value::Int(-self.int(*src)),
+                    UnOp::Not => Value::Bool(!self.bool(*src)),
                 };
                 self.set_reg(*dst, r);
             }
             Instr::Bin { dst, op, lhs, rhs } => {
-                let l = self.operand(*lhs);
-                let r = self.operand(*rhs);
-                let v = self.binop(*op, l, r)?;
+                let v = self.binop(*op, *lhs, *rhs)?;
                 self.set_reg(*dst, v);
             }
             Instr::LoadSlot { dst, addr } => {
-                let v = self.load_slot(addr, site)?;
+                let v = self.load_slot(func, addr, site)?;
                 self.set_reg(*dst, v);
             }
             Instr::StoreSlot { addr, src } => {
                 let v = self.operand(*src);
-                self.store_slot(addr, v, site)?;
+                self.store_slot(func, addr, v, site)?;
             }
             Instr::LoadMem {
                 dst,
@@ -641,8 +745,9 @@ impl<'p, 'h> Interp<'p, 'h> {
                 hidden,
             } => {
                 let (cell, slot) = self.mem_slot(addr)?;
-                let value = self.heap.cell(cell).slots[slot as usize].clone();
-                let a = self.heap.cell(cell).addr + slot as u64 * 8;
+                let c = self.heap.cell(cell);
+                let value = c.slots[slot as usize].clone();
+                let a = c.addr + slot as u64 * 8;
                 self.emit(
                     a,
                     MemKind::Heap,
@@ -678,8 +783,8 @@ impl<'p, 'h> Interp<'p, 'h> {
             Instr::TakeAddrSlot { dst, addr } => {
                 let loc = match addr.base {
                     SlotBase::Local(v) => {
-                        let storage_len = self.frame().vars[v.0 as usize].len();
-                        let off = self.slot_index(addr, storage_len)?;
+                        let (_, len) = self.local_storage(v);
+                        let off = self.slot_index(addr, len)?;
                         Location::Frame {
                             frame: (self.frames.len() - 1) as u32,
                             var: v,
@@ -687,8 +792,8 @@ impl<'p, 'h> Interp<'p, 'h> {
                         }
                     }
                     SlotBase::Global(g) => {
-                        let storage_len = self.globals[g.0 as usize].len();
-                        let off = self.slot_index(addr, storage_len)?;
+                        let len = self.globals[g.0 as usize].len() as u32;
+                        let off = self.slot_index(addr, len)?;
                         Location::Global {
                             global: g,
                             offset: off,
@@ -703,15 +808,13 @@ impl<'p, 'h> Interp<'p, 'h> {
             }
             Instr::New { dst, ty } => {
                 self.counts.allocs += 1;
-                let slots = self.new_slots(*ty);
-                let n = slots.len() as u32;
-                let cell = self.heap.alloc(*ty, n, Value::Nil);
-                self.heap.cell_mut(cell).slots = slots;
+                let slots = self.new_template(*ty).to_vec();
+                let cell = self.heap.alloc(*ty, slots);
                 self.set_reg(*dst, Value::Ref(cell));
             }
             Instr::NewArray { dst, ty, len } => {
                 self.counts.allocs += 1;
-                let n = self.operand(*len).as_int();
+                let n = self.int(*len);
                 if n < 0 {
                     return Err(RuntimeError::OutOfBounds);
                 }
@@ -719,30 +822,26 @@ impl<'p, 'h> Interp<'p, 'h> {
                     panic!("NewArray of non-array type");
                 };
                 let esz = self.prog.types.size_of(*elem);
-                let elem_zero_slots = self.zero_slots_of(*elem);
+                let elem_zero = self.zero_template(*elem);
                 let mut slots = Vec::with_capacity(1 + (n as usize) * esz as usize);
                 slots.push(Value::Int(n));
                 for _ in 0..n {
-                    slots.extend(elem_zero_slots.iter().cloned());
+                    slots.extend_from_slice(elem_zero);
                 }
-                let total = slots.len() as u32;
-                let cell = self.heap.alloc(*ty, total, Value::Nil);
-                self.heap.cell_mut(cell).slots = slots;
+                let cell = self.heap.alloc(*ty, slots);
                 self.set_reg(*dst, Value::Ref(cell));
             }
             Instr::Call { .. } | Instr::CallMethod { .. } => {
                 unreachable!("calls are handled by the activation-stack driver")
             }
             Instr::Intrinsic { dst, op, args } => {
-                let argv: Vec<Value> = args.iter().map(|a| self.operand(*a)).collect();
-                let r = self.intrinsic(*op, &argv)?;
+                let r = self.intrinsic(*op, args)?;
                 if let (Some(d), Some(v)) = (dst, r) {
                     self.set_reg(*d, v);
                 }
             }
             Instr::TypeTest { dst, src, ty } => {
-                let v = self.operand(*src);
-                let b = match v {
+                let b = match self.operand(*src) {
                     Value::Ref(c) => self.prog.types.is_subtype(self.heap.cell(c).ty, *ty),
                     _ => false,
                 };
@@ -765,31 +864,42 @@ impl<'p, 'h> Interp<'p, 'h> {
         Ok(())
     }
 
-    fn resolve_method(&self, ty: TypeId, method: &str) -> Result<FuncId, RuntimeError> {
-        for t in self.prog.types.ancestry(ty) {
-            if let Some(&f) = self.prog.method_impls.get(&(t, method.to_string())) {
-                return Ok(f);
-            }
+    /// The implementation of `method` for dynamic type `ty`: the nearest
+    /// ancestor's, looked up once per (type, method) and then cached.
+    fn resolve_method(&mut self, ty: TypeId, method: &'p str) -> Result<FuncId, RuntimeError> {
+        if let Some(&f) = self.methods.get(&(ty, method)) {
+            return Ok(f);
         }
-        Err(RuntimeError::NoMethod(method.to_string()))
+        let prog = self.prog;
+        let f = prog
+            .types
+            .ancestry(ty)
+            .into_iter()
+            .find_map(|t| prog.method_impls.get(&(t, method.to_string())).copied())
+            .ok_or_else(|| RuntimeError::NoMethod(method.to_string()))?;
+        self.methods.insert((ty, method), f);
+        Ok(f)
     }
 
-    fn load_slot(&mut self, addr: &SlotAddr, site: Option<Site>) -> Result<Value, RuntimeError> {
+    fn load_slot(
+        &mut self,
+        func: &Function,
+        addr: &SlotAddr,
+        site: Option<Site>,
+    ) -> Result<Value, RuntimeError> {
         match addr.base {
             SlotBase::Local(v) => {
-                let storage_len = self.frame().vars[v.0 as usize].len();
-                let off = self.slot_index(addr, storage_len)?;
-                let val = self.frame().vars[v.0 as usize][off as usize].clone();
-                let func = self.frame().func;
-                let is_mem = self.prog.func(func).vars[v.0 as usize].class == VarClass::Stack;
-                if is_mem {
+                let (start, len) = self.local_storage(v);
+                let off = self.slot_index(addr, len)?;
+                let val = self.slots[start + off as usize].clone();
+                if func.vars[v.0 as usize].class == VarClass::Stack {
                     let a = self.frame_slot_addr(self.frames.len() - 1, v, off);
                     self.emit(a, MemKind::Stack, true, false, site, None, Some(&val));
                 }
                 Ok(val)
             }
             SlotBase::Global(g) => {
-                let storage_len = self.globals[g.0 as usize].len();
+                let storage_len = self.globals[g.0 as usize].len() as u32;
                 let off = self.slot_index(addr, storage_len)?;
                 let val = self.globals[g.0 as usize][off as usize].clone();
                 let a = self.global_slot_addr(g, off);
@@ -801,25 +911,24 @@ impl<'p, 'h> Interp<'p, 'h> {
 
     fn store_slot(
         &mut self,
+        func: &Function,
         addr: &SlotAddr,
         val: Value,
         site: Option<Site>,
     ) -> Result<(), RuntimeError> {
         match addr.base {
             SlotBase::Local(v) => {
-                let storage_len = self.frame().vars[v.0 as usize].len();
-                let off = self.slot_index(addr, storage_len)?;
-                let func = self.frame().func;
-                let is_mem = self.prog.func(func).vars[v.0 as usize].class == VarClass::Stack;
-                if is_mem {
+                let (start, len) = self.local_storage(v);
+                let off = self.slot_index(addr, len)?;
+                if func.vars[v.0 as usize].class == VarClass::Stack {
                     let a = self.frame_slot_addr(self.frames.len() - 1, v, off);
                     self.emit(a, MemKind::Stack, false, false, site, None, Some(&val));
                 }
-                self.frame_mut().vars[v.0 as usize][off as usize] = val;
+                self.slots[start + off as usize] = val;
                 Ok(())
             }
             SlotBase::Global(g) => {
-                let storage_len = self.globals[g.0 as usize].len();
+                let storage_len = self.globals[g.0 as usize].len() as u32;
                 let off = self.slot_index(addr, storage_len)?;
                 let a = self.global_slot_addr(g, off);
                 self.emit(a, MemKind::Global, false, false, site, None, Some(&val));
@@ -832,7 +941,7 @@ impl<'p, 'h> Interp<'p, 'h> {
     fn load_location(&mut self, l: Location, site: Option<Site>) -> Result<Value, RuntimeError> {
         match l {
             Location::Frame { frame, var, offset } => {
-                let val = self.frames[frame as usize].vars[var.0 as usize][offset as usize].clone();
+                let val = self.slots[self.frame_slot(frame as usize, var, offset)].clone();
                 let a = self.frame_slot_addr(frame as usize, var, offset);
                 self.emit(a, MemKind::Stack, true, false, site, None, Some(&val));
                 Ok(val)
@@ -862,7 +971,8 @@ impl<'p, 'h> Interp<'p, 'h> {
             Location::Frame { frame, var, offset } => {
                 let a = self.frame_slot_addr(frame as usize, var, offset);
                 self.emit(a, MemKind::Stack, false, false, site, None, Some(&val));
-                self.frames[frame as usize].vars[var.0 as usize][offset as usize] = val;
+                let i = self.frame_slot(frame as usize, var, offset);
+                self.slots[i] = val;
                 Ok(())
             }
             Location::Global { global, offset } => {
@@ -880,32 +990,32 @@ impl<'p, 'h> Interp<'p, 'h> {
         }
     }
 
-    fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
+    fn binop(&self, op: BinOp, lhs: Operand, rhs: Operand) -> Result<Value, RuntimeError> {
         Ok(match op {
-            BinOp::Add => Value::Int(l.as_int().wrapping_add(r.as_int())),
-            BinOp::Sub => Value::Int(l.as_int().wrapping_sub(r.as_int())),
-            BinOp::Mul => Value::Int(l.as_int().wrapping_mul(r.as_int())),
+            BinOp::Add => Value::Int(self.int(lhs).wrapping_add(self.int(rhs))),
+            BinOp::Sub => Value::Int(self.int(lhs).wrapping_sub(self.int(rhs))),
+            BinOp::Mul => Value::Int(self.int(lhs).wrapping_mul(self.int(rhs))),
             BinOp::Div => {
-                let d = r.as_int();
+                let d = self.int(rhs);
                 if d == 0 {
                     return Err(RuntimeError::DivByZero);
                 }
-                Value::Int(l.as_int().div_euclid(d))
+                Value::Int(self.int(lhs).div_euclid(d))
             }
             BinOp::Mod => {
-                let d = r.as_int();
+                let d = self.int(rhs);
                 if d == 0 {
                     return Err(RuntimeError::DivByZero);
                 }
-                Value::Int(l.as_int().rem_euclid(d))
+                Value::Int(self.int(lhs).rem_euclid(d))
             }
             BinOp::Concat => unreachable!("lowered to an intrinsic"),
-            BinOp::Eq => Value::Bool(l == r),
-            BinOp::Ne => Value::Bool(l != r),
+            BinOp::Eq => Value::Bool(self.operand(lhs) == self.operand(rhs)),
+            BinOp::Ne => Value::Bool(self.operand(lhs) != self.operand(rhs)),
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let c = match (&l, &r) {
-                    (Value::Int(a), Value::Int(b)) => a.cmp(b),
-                    (Value::Char(a), Value::Char(b)) => a.cmp(b),
+                let c = match (self.operand(lhs), self.operand(rhs)) {
+                    (Value::Int(a), Value::Int(b)) => a.cmp(&b),
+                    (Value::Char(a), Value::Char(b)) => a.cmp(&b),
                     other => panic!("ordering on {other:?}"),
                 };
                 Value::Bool(match op {
@@ -922,81 +1032,98 @@ impl<'p, 'h> Interp<'p, 'h> {
     fn intrinsic(
         &mut self,
         op: IntrinsicOp,
-        args: &[Value],
+        args: &[Operand],
     ) -> Result<Option<Value>, RuntimeError> {
+        let arg = |i: usize| self.operand(args[i]);
         Ok(match op {
-            IntrinsicOp::Ord => Some(Value::Int(args[0].as_char() as i64)),
+            IntrinsicOp::Ord => Some(Value::Int(arg(0).as_char() as i64)),
             IntrinsicOp::Chr => Some(Value::Char(
-                char::from_u32(args[0].as_int() as u32).unwrap_or('\u{FFFD}'),
+                char::from_u32(self.int(args[0]) as u32).unwrap_or('\u{FFFD}'),
             )),
-            IntrinsicOp::Abs => Some(Value::Int(args[0].as_int().wrapping_abs())),
-            IntrinsicOp::Min => Some(Value::Int(args[0].as_int().min(args[1].as_int()))),
-            IntrinsicOp::Max => Some(Value::Int(args[0].as_int().max(args[1].as_int()))),
-            IntrinsicOp::TextLen => Some(Value::Int(args[0].as_text().chars().count() as i64)),
+            IntrinsicOp::Abs => Some(Value::Int(self.int(args[0]).wrapping_abs())),
+            IntrinsicOp::Min => Some(Value::Int(self.int(args[0]).min(self.int(args[1])))),
+            IntrinsicOp::Max => Some(Value::Int(self.int(args[0]).max(self.int(args[1])))),
+            IntrinsicOp::TextLen => Some(Value::Int(arg(0).as_text().chars().count() as i64)),
             IntrinsicOp::TextChar => {
-                let t = args[0].as_text();
-                let i = args[1].as_int();
+                let t = arg(0).as_text();
+                let i = self.int(args[1]);
                 match t.chars().nth(i.max(0) as usize) {
                     Some(c) if i >= 0 => Some(Value::Char(c)),
                     _ => return Err(RuntimeError::OutOfBounds),
                 }
             }
-            IntrinsicOp::IntToText => Some(Value::Text(Arc::from(args[0].as_int().to_string()))),
-            IntrinsicOp::CharToText => Some(Value::Text(Arc::from(args[0].as_char().to_string()))),
+            IntrinsicOp::IntToText => Some(Value::Text(Arc::from(self.int(args[0]).to_string()))),
+            IntrinsicOp::CharToText => Some(Value::Text(Arc::from(arg(0).as_char().to_string()))),
             IntrinsicOp::TextConcat => {
-                let mut s = String::from(&*args[0].as_text());
-                s.push_str(&args[1].as_text());
+                let mut s = String::from(&*arg(0).as_text());
+                s.push_str(&arg(1).as_text());
                 Some(Value::Text(Arc::from(s)))
             }
             IntrinsicOp::Print => {
-                self.output.push_str(&args[0].as_text());
+                let t = arg(0).as_text();
+                self.output.push_str(&t);
                 None
             }
             IntrinsicOp::PrintInt => {
-                self.output.push_str(&args[0].as_int().to_string());
+                let n = self.int(args[0]);
+                write!(self.output, "{n}").expect("writing to a String cannot fail");
                 None
             }
         })
     }
 
     /// Zero-initialized heap slots for a NEW of `ty` (object or REF).
-    fn new_slots(&self, ty: TypeId) -> Vec<Value> {
-        match self.prog.types.kind(ty) {
-            TypeKind::Object { .. } => {
-                let mut out = Vec::new();
-                for f in self.prog.types.all_fields(ty) {
-                    out.extend(self.zero_slots_of(f.ty));
+    fn new_template(&mut self, ty: TypeId) -> &[Value] {
+        if self.new_templates[ty.0 as usize].is_none() {
+            let slots = match self.prog.types.kind(ty) {
+                TypeKind::Object { .. } => {
+                    let mut out = Vec::new();
+                    for f in self.prog.types.all_fields(ty) {
+                        out.extend_from_slice(self.zero_template(f.ty));
+                    }
+                    if out.is_empty() {
+                        out.push(Value::Nil);
+                    }
+                    out
                 }
-                if out.is_empty() {
-                    out.push(Value::Nil);
-                }
-                out
-            }
-            TypeKind::Ref { target, .. } => {
-                let v = self.zero_slots_of(*target);
-                if v.is_empty() {
-                    vec![Value::Nil]
-                } else {
-                    v
-                }
-            }
-            other => panic!("NEW of {other:?}"),
+                TypeKind::Ref { target, .. } => self.zero_template(*target).to_vec(),
+                other => panic!("NEW of {other:?}"),
+            };
+            self.new_templates[ty.0 as usize] = Some(slots);
         }
+        self.new_templates[ty.0 as usize]
+            .as_deref()
+            .expect("template built above")
     }
 
-    fn zero_slots_of(&self, ty: TypeId) -> Vec<Value> {
-        zero_storage(self.prog, ty, self.prog.types.size_of(ty))
+    /// Zero slots of one value of type `ty`.
+    fn zero_template(&mut self, ty: TypeId) -> &[Value] {
+        let prog = self.prog;
+        self.zero_templates[ty.0 as usize]
+            .get_or_insert_with(|| zero_storage(prog, &self.empty_text, ty, prog.types.size_of(ty)))
+    }
+}
+
+/// The variable behind `addr` when it is a whole register-class local.
+fn register_local(func: &Function, addr: &SlotAddr) -> Option<VarId> {
+    match addr.base {
+        SlotBase::Local(v)
+            if addr.is_simple() && func.vars[v.0 as usize].class == VarClass::Register =>
+        {
+            Some(v)
+        }
+        _ => None,
     }
 }
 
 /// Zero storage of `size` slots for a value of type `ty` (aggregates are
-/// zeroed per component).
-fn zero_storage(prog: &Program, ty: TypeId, size: u32) -> Vec<Value> {
-    fn fill(prog: &Program, ty: TypeId, out: &mut Vec<Value>) {
+/// zeroed per component). Every TEXT zero shares `empty_text`.
+fn zero_storage(prog: &Program, empty_text: &Arc<str>, ty: TypeId, size: u32) -> Vec<Value> {
+    fn fill(prog: &Program, empty_text: &Arc<str>, ty: TypeId, out: &mut Vec<Value>) {
         match prog.types.kind(ty) {
             TypeKind::Record { fields } => {
                 for f in fields {
-                    fill(prog, f.ty, out);
+                    fill(prog, empty_text, f.ty, out);
                 }
             }
             TypeKind::Array {
@@ -1004,14 +1131,15 @@ fn zero_storage(prog: &Program, ty: TypeId, size: u32) -> Vec<Value> {
                 elem,
             } => {
                 for _ in 0..(hi - lo + 1).max(0) {
-                    fill(prog, *elem, out);
+                    fill(prog, empty_text, *elem, out);
                 }
             }
+            TypeKind::Text => out.push(Value::Text(empty_text.clone())),
             _ => out.push(Value::zero_of(&prog.types, ty)),
         }
     }
     let mut out = Vec::with_capacity(size as usize);
-    fill(prog, ty, &mut out);
+    fill(prog, empty_text, ty, &mut out);
     while (out.len() as u32) < size.max(1) {
         out.push(Value::Nil);
     }
@@ -1165,6 +1293,31 @@ mod tests {
              END M.",
         );
         assert_eq!(out.output, "9");
+    }
+
+    #[test]
+    fn trait_object_hooks_still_run() {
+        struct Count(u64);
+        impl MemHook for Count {
+            fn access(&mut self, _ev: &MemEvent<'_>) {
+                self.0 += 1;
+            }
+        }
+        let prog = compile_to_ir(
+            "MODULE M;
+             TYPE T = OBJECT f: INTEGER; END;
+             VAR t: T;
+             BEGIN t := NEW(T); t.f := 1; PRINTI(t.f) END M.",
+        )
+        .unwrap();
+        let mut count = Count(0);
+        let hook: &mut dyn MemHook = &mut count;
+        let out = run(&prog, hook, RunConfig::default()).unwrap();
+        let c = out.counts;
+        assert_eq!(
+            count.0,
+            c.heap_loads + c.heap_stores + c.other_loads + c.other_stores
+        );
     }
 
     #[test]

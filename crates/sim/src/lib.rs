@@ -15,6 +15,10 @@
 //! * [`classify`] — splits the redundancy remaining after RLE into the
 //!   paper's five categories (Figure 10) using shadow analysis passes.
 //!
+//! [`profile`] runs a program once and drives the cache model and the
+//! redundancy trace from that single event stream, so every table and
+//! figure costs one interpreter pass per program variant.
+//!
 //! ## Example
 //!
 //! ```
@@ -41,5 +45,5 @@ pub mod value;
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use classify::{classify_remaining, Breakdown, LimitResult};
 pub use interp::{run, ExecCounts, MemHook, NullHook, RunConfig, RunOutcome, RuntimeError};
-pub use machine::{cycles, simulate, CacheHook};
+pub use machine::{cycles, profile, simulate, CacheHook, Profile};
 pub use trace::RedundancyTrace;

@@ -18,6 +18,7 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::interp::{ExecCounts, MemEvent, MemHook};
+use crate::trace::RedundancyTrace;
 
 /// Base cycles per instruction (dual issue ⇒ below 1.0).
 pub const CPI_BASE: f64 = 0.75;
@@ -67,6 +68,43 @@ pub fn cycles(counts: &ExecCounts, cache: &CacheStats) -> f64 {
         + loads as f64 * LOAD_EXTRA
         + cache.misses as f64 * MISS_PENALTY
         + stores as f64 * STORE_COST
+}
+
+/// Everything the evaluation reads from one execution of a program
+/// variant.
+#[derive(Debug)]
+pub struct Profile {
+    /// Instruction and memory-reference counters.
+    pub counts: ExecCounts,
+    /// Data-cache statistics under the default geometry.
+    pub cache: CacheStats,
+    /// Simulated cycles ([`cycles`] of the two above).
+    pub cycles: f64,
+    /// The §3.5 redundancy trace.
+    pub trace: RedundancyTrace,
+}
+
+/// Runs a program once, driving the cache model and the redundancy trace
+/// from the same event stream. The result equals what [`simulate`] and a
+/// separate [`RedundancyTrace`] run report.
+///
+/// # Errors
+///
+/// Propagates interpreter runtime errors.
+pub fn profile(
+    prog: &tbaa_ir::Program,
+    config: crate::interp::RunConfig,
+) -> Result<Profile, crate::interp::RuntimeError> {
+    let mut hooks = (CacheHook::default(), RedundancyTrace::new());
+    let outcome = crate::interp::run(prog, &mut hooks, config)?;
+    let (cache, trace) = hooks;
+    let cache = cache.stats();
+    Ok(Profile {
+        cycles: cycles(&outcome.counts, &cache),
+        counts: outcome.counts,
+        cache,
+        trace,
+    })
 }
 
 /// Runs a program under the cache hook and returns `(counts, cache stats,

@@ -33,7 +33,8 @@ pub struct RedundancyTrace {
     pub redundant_hidden: u64,
     /// Per visible site counters.
     pub sites: HashMap<Site, SiteCounts>,
-    /// Last load of each address: `(activation, value)`.
+    /// Last load of each address: `(activation, value)`. Empty after a
+    /// run, because `run` calls [`MemHook::finish`], which drops it.
     last: HashMap<u64, (u64, Value)>,
 }
 
@@ -86,6 +87,10 @@ impl MemHook for RedundancyTrace {
                 }
             }
         }
+    }
+
+    fn finish(&mut self) {
+        self.last = HashMap::new();
     }
 }
 
@@ -185,6 +190,18 @@ mod tests {
         assert_eq!(t.redundant, 9);
         let site_redundant: u64 = t.sites.values().map(|c| c.redundant).sum();
         assert_eq!(site_redundant, 9);
+    }
+
+    #[test]
+    fn last_load_map_does_not_outlive_the_run() {
+        let t = trace_src(
+            "MODULE M;
+             TYPE T = OBJECT f: INTEGER; END;
+             VAR t: T; x, y: INTEGER;
+             BEGIN t := NEW(T); x := t.f; y := t.f; END M.",
+        );
+        assert_eq!(t.redundant, 1);
+        assert!(t.last.is_empty() && t.last.capacity() == 0);
     }
 
     #[test]
