@@ -33,13 +33,14 @@
 //! ([`count_alias_pairs`](crate::pairs::count_alias_pairs)) go through
 //! [`AliasAnalysis::may_alias_uncached`] and skip the memo lock.
 //!
-//! Paths interned *after* the engine was compiled (RLE/DSE kill scans
-//! clone the program's `ApTable` and intern fresh prefix paths; the
-//! limit study interns shadow paths) fall back to the naive oracle.
-//! That is sound because `ApTable::intern` is append-only: an `ApId`
-//! below the compiled snapshot length denotes the same path in every
-//! table cloned from the program's, and anything at or above it is
-//! answered against the caller's own table.
+//! Paths interned *after* the engine was compiled (RLE/DSE intern the
+//! prefixes of every path they track, then query against one snapshot
+//! of the program's `ApTable` per run; the limit study interns shadow
+//! paths) fall back to the naive oracle. That is sound because
+//! `ApTable::intern` is append-only: an `ApId` below the compiled
+//! snapshot length denotes the same path in every table cloned from the
+//! program's, and anything at or above it is answered against the
+//! caller's own table.
 
 use crate::analysis::{AliasAnalysis, Level, Tbaa};
 use crate::memo::Memo;
@@ -817,8 +818,8 @@ mod tests {
         let prog = prog();
         let naive = Tbaa::build(&prog, Level::FieldTypeDecl, World::Closed);
         let engine = CompiledAliasEngine::build(&prog, Level::FieldTypeDecl, World::Closed);
-        // Intern a fresh prefix path in a cloned table, as the RLE/DSE
-        // kill scans do.
+        // Intern a fresh prefix path in a cloned table, as RLE/DSE do
+        // before taking their snapshot.
         let mut aps = prog.aps.clone();
         let with_steps = prog
             .aps

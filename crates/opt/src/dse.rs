@@ -17,11 +17,11 @@
 //! universe RLE uses.
 
 use crate::modref::{method_targets, ModRef, Summary};
-use crate::rle::{build_ctx, Avail, KillCtx};
+use crate::rle::{Avail, KillCtx, Killer, PathSets};
 use std::collections::HashMap;
 use tbaa::analysis::AliasAnalysis;
 use tbaa_ir::cfg::Cfg;
-use tbaa_ir::ir::{BlockId, Instr, Program, SlotBase};
+use tbaa_ir::ir::{BlockId, Instr, Program};
 use tbaa_ir::path::FuncId;
 
 /// What DSE did.
@@ -51,9 +51,13 @@ pub struct DseStats {
 /// ```
 pub fn run_dse(prog: &mut Program, analysis: &dyn AliasAnalysis) -> DseStats {
     let modref = ModRef::build(prog);
+    let paths = PathSets::intern(prog);
     let mut stats = DseStats::default();
     for i in 0..prog.funcs.len() {
-        stats.removed += dse_function(prog, FuncId(i as u32), analysis, &modref);
+        let fid = FuncId(i as u32);
+        if let Some(ctx) = paths.ctx(fid, analysis) {
+            stats.removed += dse_function(prog, fid, &ctx, &modref);
+        }
     }
     stats
 }
@@ -66,7 +70,6 @@ fn transfer_back(
     ctx: &KillCtx<'_>,
     summaries: &dyn Fn(&Instr) -> Vec<Summary>,
 ) {
-    let n = ctx.n();
     match instr {
         Instr::StoreMem { ap, .. } => {
             if let Some(i) = ctx.idx(*ap) {
@@ -78,53 +81,31 @@ fn transfer_back(
             // loads read the dope slot, which is never stored, but go
             // through the same may-alias test for uniformity.)
             let revived: Vec<usize> = dead
-                .iter_set(n)
+                .iter_set()
                 .filter(|&i| ctx.analysis_may_alias(*ap, i))
                 .collect();
             for i in revived {
                 dead.clear(i);
             }
         }
-        Instr::LoadInd { .. } => {
-            let revived: Vec<usize> = dead.iter_set(n).filter(|&i| ctx.wild_kills(i)).collect();
-            for i in revived {
-                dead.clear(i);
-            }
-        }
-        Instr::StoreSlot { addr, .. } => {
-            // A root/index variable changes: pending overwrites above this
-            // point would hit a different location.
-            let dropped: Vec<usize> = dead
-                .iter_set(n)
-                .filter(|&i| match addr.base {
-                    SlotBase::Local(v) => ctx.mentions_var(i, v),
-                    SlotBase::Global(g) => ctx.mentions_global(i, g),
-                })
-                .collect();
-            for i in dropped {
-                dead.clear(i);
-            }
-        }
-        Instr::StoreInd { .. } => {
-            // An indirect store may target the same location through an
-            // alias; treating it as an overwrite would need must-alias,
-            // and it may also be *read* downstream through the location —
-            // drop everything addressable.
-            let dropped: Vec<usize> = dead.iter_set(n).filter(|&i| ctx.wild_kills(i)).collect();
-            for i in dropped {
-                dead.clear(i);
-            }
-        }
+        // A root/index variable changes: pending overwrites above this
+        // point would hit a different location.
+        Instr::StoreSlot { addr, .. } => ctx.kill(dead, addr.base.into()),
+        // An indirect load may read any addressable location. An indirect
+        // store may target one through an alias (treating it as an
+        // overwrite would need must-alias), and it may also be *read*
+        // downstream through the location. Either drops everything
+        // addressable.
+        Instr::LoadInd { .. } | Instr::StoreInd { .. } => ctx.kill(dead, Killer::Wild),
         Instr::Call { .. } | Instr::CallMethod { .. } => {
             let sums = summaries(instr);
+            if sums.iter().any(|s| s.wild_load || s.wild_store) {
+                ctx.kill(dead, Killer::Wild);
+            }
             let mut drop_idx: Vec<usize> = Vec::new();
-            for i in dead.iter_set(n) {
+            for i in dead.iter_set() {
                 let mut revived = false;
                 for s in &sums {
-                    if (s.wild_load || s.wild_store) && ctx.wild_kills(i) {
-                        revived = true;
-                        break;
-                    }
                     if s.loads.iter().any(|&l| ctx.analysis_may_alias(l, i)) {
                         revived = true;
                         break;
@@ -146,7 +127,7 @@ fn transfer_back(
             // Also: location values passed by address may be read inside.
             if let Instr::Call { addr_aps, .. } | Instr::CallMethod { addr_aps, .. } = instr {
                 for &a in addr_aps {
-                    for i in dead.iter_set(n) {
+                    for i in dead.iter_set() {
                         if ctx.analysis_may_alias(a, i) {
                             drop_idx.push(i);
                         }
@@ -161,15 +142,7 @@ fn transfer_back(
     }
 }
 
-fn dse_function(
-    prog: &mut Program,
-    fid: FuncId,
-    analysis: &dyn AliasAnalysis,
-    modref: &ModRef,
-) -> usize {
-    let Some(ctx) = build_ctx(prog, fid, analysis) else {
-        return 0;
-    };
+fn dse_function(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> usize {
     let n = ctx.n();
     let cfg = Cfg::new(prog.func(fid));
     let nb = prog.func(fid).blocks.len();
@@ -226,7 +199,7 @@ fn dse_function(
                     acc
                 };
                 for instr in prog.func(fid).blocks[bi].instrs.iter().rev() {
-                    transfer_back(instr, &mut dead, &ctx, &summaries);
+                    transfer_back(instr, &mut dead, ctx, &summaries);
                 }
                 if dead != ins[bi] {
                     ins[bi] = dead;
@@ -258,7 +231,7 @@ fn dse_function(
                         }
                     }
                 }
-                transfer_back(instr, &mut dead, &ctx, &summaries);
+                transfer_back(instr, &mut dead, ctx, &summaries);
             }
         }
         sites

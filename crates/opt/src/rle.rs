@@ -16,6 +16,18 @@
 //! dope-vector loads are left untouched — they are implicit in the
 //! high-level IR (the paper's Encapsulation category).
 //!
+//! **Kill masks.** Availability is a bit vector over a function's
+//! interesting paths ([`Avail`]). Whether a killer — a stored path, a
+//! wild store, a local or a global — kills one path does not depend on
+//! the others, so [`KillCtx`] computes one mask per distinct killer, the
+//! first time that killer is met, asking the analysis each
+//! `(killer, prefix)` question once. Every transfer afterwards is a
+//! word-parallel and-not of masks, whatever the dataflow pass. The
+//! interesting paths of every function are gathered, and their prefixes
+//! interned, before the first function is transformed, so a run takes
+//! one snapshot of the program's [`ApTable`] (the table is append-only,
+//! so a snapshot of the same length is the same table).
+//!
 //! Eliminated loads become reads of compiler scratch variables, which are
 //! scalar locals and therefore modeled as registers by the machine model —
 //! "leaving it up to the back end to place the hoisted memory reference in
@@ -23,12 +35,13 @@
 
 use crate::modref::{method_targets, ModRef, Summary};
 use mini_m3::check::GlobalId;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use tbaa::analysis::AliasAnalysis;
 use tbaa_ir::cfg::{ensure_preheader, Cfg, NaturalLoop};
 use tbaa_ir::ir::BlockId;
-use tbaa_ir::ir::{Instr, Operand, Program, SlotAddr, SlotBase, VarClass, VarDecl};
-use tbaa_ir::path::{ApId, ApTable, FuncId, VarId};
+use tbaa_ir::ir::{Function, Instr, Operand, Program, SlotAddr, SlotBase, VarClass, VarDecl};
+use tbaa_ir::path::{ApId, ApRoot, ApTable, FuncId, VarId};
 
 /// Static counts of what RLE did (Table 6 reports their sum).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,60 +87,22 @@ pub fn availability_sites(
     analysis: &dyn AliasAnalysis,
 ) -> HashMap<Site, SiteAvail> {
     let modref = ModRef::build(prog);
+    let paths = PathSets::intern(prog);
+    let summaries = callee_summaries(prog, &modref);
     let mut out = HashMap::new();
     for i in 0..prog.funcs.len() {
         let fid = FuncId(i as u32);
-        let Some(ctx) = build_ctx(prog, fid, analysis) else {
+        let Some(ctx) = paths.ctx(fid, analysis) else {
             continue;
         };
-        let n = ctx.n();
-        let cfg = Cfg::new(prog.func(fid));
-        let summaries = callee_summaries(prog, &modref);
-        let nb = prog.func(fid).blocks.len();
-        // MUST: intersection meet, universal init; MAY: union meet, empty init.
-        let mut must_in: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-        let mut must_out: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
-        let mut may_in: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
-        let mut may_out: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
-        must_in[0] = Avail::empty(n);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &cfg.rpo {
-                let bi = b.0 as usize;
-                let mut must = if bi == 0 {
-                    Avail::empty(n)
-                } else {
-                    let mut acc = Avail::universal(n);
-                    for &p in &cfg.preds[bi] {
-                        acc.intersect_assign(&must_out[p.0 as usize]);
-                    }
-                    acc
-                };
-                let mut may = Avail::empty(n);
-                for &p in &cfg.preds[bi] {
-                    for w in 0..may.0.len() {
-                        may.0[w] |= may_out[p.0 as usize].0[w];
-                    }
-                }
-                must_in[bi] = must.clone();
-                may_in[bi] = may.clone();
-                for instr in &prog.func(fid).blocks[bi].instrs {
-                    transfer(instr, &mut must, &ctx, 0, &summaries);
-                    transfer(instr, &mut may, &ctx, 0, &summaries);
-                }
-                if must != must_out[bi] || may != may_out[bi] {
-                    must_out[bi] = must;
-                    may_out[bi] = may;
-                    changed = true;
-                }
-            }
-        }
+        let func = prog.func(fid);
+        let cfg = Cfg::new(func);
+        let flow = MustMay::solve(func, &cfg, &ctx, &summaries);
         for &b in &cfg.rpo {
             let bi = b.0 as usize;
-            let mut must = must_in[bi].clone();
-            let mut may = may_in[bi].clone();
-            for (ii, instr) in prog.func(fid).blocks[bi].instrs.iter().enumerate() {
+            let mut must = flow.must_in[bi].clone();
+            let mut may = flow.may_in[bi].clone();
+            for (ii, instr) in func.blocks[bi].instrs.iter().enumerate() {
                 if let Instr::LoadMem {
                     ap, hidden: false, ..
                 } = instr
@@ -142,8 +117,8 @@ pub fn availability_sites(
                         );
                     }
                 }
-                transfer(instr, &mut must, &ctx, 0, &summaries);
-                transfer(instr, &mut may, &ctx, 0, &summaries);
+                transfer(instr, &mut must, &ctx, &summaries);
+                transfer(instr, &mut may, &ctx, &summaries);
             }
         }
     }
@@ -153,9 +128,13 @@ pub fn availability_sites(
 /// Runs RLE over every function of the program.
 pub fn run_rle(prog: &mut Program, analysis: &dyn AliasAnalysis) -> RleStats {
     let modref = ModRef::build(prog);
+    let paths = PathSets::intern(prog);
     let mut total = RleStats::default();
     for i in 0..prog.funcs.len() {
-        total += rle_function(prog, FuncId(i as u32), analysis, &modref);
+        let fid = FuncId(i as u32);
+        if let Some(ctx) = paths.ctx(fid, analysis) {
+            total += rle_function(prog, fid, &ctx, &modref);
+        }
     }
     total
 }
@@ -186,76 +165,221 @@ impl Avail {
     pub(crate) fn contains(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
     pub(crate) fn intersect_assign(&mut self, o: &Avail) {
-        for (a, b) in self.0.iter_mut().zip(o.0.iter()) {
+        for (a, b) in self.0.iter_mut().zip(&o.0) {
             *a &= b;
         }
     }
-    pub(crate) fn iter_set(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..n).filter(move |&i| self.contains(i))
+    pub(crate) fn union_assign(&mut self, o: &Avail) {
+        for (a, b) in self.0.iter_mut().zip(&o.0) {
+            *a |= b;
+        }
+    }
+    pub(crate) fn and_not(&mut self, o: &Avail) {
+        for (a, b) in self.0.iter_mut().zip(&o.0) {
+            *a &= !b;
+        }
+    }
+    /// The set bits, in ascending order.
+    pub(crate) fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.0.len() * 64).filter(move |&i| self.contains(i))
     }
 }
 
-/// Per-function alias/kill context with memoized queries.
-pub(crate) struct KillCtx<'a> {
-    analysis: &'a dyn AliasAnalysis,
-    aps: ApTable,
+/// Anything an instruction may write, and so kill availability through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Killer {
+    /// A store to this heap path.
+    Store(ApId),
+    /// An indirect store through a VAR-parameter location.
+    Wild,
+    /// An assignment to a local.
+    Var(VarId),
+    /// An assignment to a global.
+    Global(GlobalId),
+}
+
+impl From<SlotBase> for Killer {
+    fn from(base: SlotBase) -> Self {
+        match base {
+            SlotBase::Local(v) => Killer::Var(v),
+            SlotBase::Global(g) => Killer::Global(g),
+        }
+    }
+}
+
+/// One function's interesting (canonical, visible) access paths.
+pub(crate) struct FuncPaths {
     /// Interesting APs in dense order.
     interesting: Vec<ApId>,
     index: HashMap<ApId, usize>,
-    /// For each interesting AP, its prefixes (1..=len steps), self last.
-    prefixes: Vec<Vec<ApId>>,
-    /// Memo: does a store to `s` kill interesting AP `i`?
-    store_kill_memo: std::cell::RefCell<HashMap<(ApId, usize), bool>>,
-    /// Memo: does a wild store kill interesting AP `i`?
-    wild_kill_memo: std::cell::RefCell<HashMap<usize, bool>>,
+    /// Every distinct prefix of an interesting AP.
+    prefix_ids: Vec<ApId>,
+    /// For each interesting AP, its prefixes (1..=len steps) as indices
+    /// into `prefix_ids`, self last.
+    prefixes: Vec<Vec<usize>>,
+}
+
+/// The interesting paths of every function of a program, with one
+/// snapshot of the program's [`ApTable`] that holds all their prefixes.
+pub(crate) struct PathSets {
+    aps: ApTable,
+    funcs: Vec<Option<FuncPaths>>,
+}
+
+impl PathSets {
+    /// Collects each function's interesting paths, interns their
+    /// prefixes, then snapshots the table once.
+    pub(crate) fn intern(prog: &mut Program) -> Self {
+        let funcs = (0..prog.funcs.len())
+            .map(|i| FuncPaths::intern(prog, FuncId(i as u32)))
+            .collect();
+        PathSets {
+            aps: prog.aps.clone(),
+            funcs,
+        }
+    }
+
+    /// The kill context of one function, or `None` if it has no
+    /// interesting paths.
+    pub(crate) fn ctx<'a>(
+        &'a self,
+        fid: FuncId,
+        analysis: &'a dyn AliasAnalysis,
+    ) -> Option<KillCtx<'a>> {
+        let paths = self.funcs[fid.0 as usize].as_ref()?;
+        Some(KillCtx {
+            analysis,
+            aps: &self.aps,
+            paths,
+            masks: RefCell::default(),
+        })
+    }
+}
+
+impl FuncPaths {
+    fn intern(prog: &mut Program, fid: FuncId) -> Option<Self> {
+        let mut interesting: Vec<ApId> = Vec::new();
+        let mut index: HashMap<ApId, usize> = HashMap::new();
+        for b in &prog.func(fid).blocks {
+            for instr in &b.instrs {
+                let ap = match instr {
+                    Instr::LoadMem {
+                        ap, hidden: false, ..
+                    } => *ap,
+                    Instr::StoreMem { ap, .. } => *ap,
+                    _ => continue,
+                };
+                if prog.aps.path(ap).is_canonical() && !index.contains_key(&ap) {
+                    index.insert(ap, interesting.len());
+                    interesting.push(ap);
+                }
+            }
+        }
+        if interesting.is_empty() {
+            return None;
+        }
+        let mut prefix_ids: Vec<ApId> = Vec::new();
+        let mut prefix_index: HashMap<ApId, usize> = HashMap::new();
+        let mut prefixes = Vec::with_capacity(interesting.len());
+        for &ap in &interesting {
+            let path = prog.aps.path(ap).clone();
+            let mut pvec = Vec::with_capacity(path.steps.len());
+            for k in 1..=path.steps.len() {
+                let mut p = path.clone();
+                p.steps.truncate(k);
+                let id = prog.aps.intern(p);
+                pvec.push(*prefix_index.entry(id).or_insert_with(|| {
+                    prefix_ids.push(id);
+                    prefix_ids.len() - 1
+                }));
+            }
+            prefixes.push(pvec);
+        }
+        Some(FuncPaths {
+            interesting,
+            index,
+            prefix_ids,
+            prefixes,
+        })
+    }
+}
+
+/// Per-function alias/kill context: the function's interesting paths and
+/// one kill mask per killer, computed on first use.
+pub(crate) struct KillCtx<'a> {
+    analysis: &'a dyn AliasAnalysis,
+    aps: &'a ApTable,
+    paths: &'a FuncPaths,
+    /// Which interesting paths each killer kills.
+    masks: RefCell<HashMap<Killer, Avail>>,
 }
 
 impl<'a> KillCtx<'a> {
     pub(crate) fn n(&self) -> usize {
-        self.interesting.len()
+        self.paths.interesting.len()
     }
 
     pub(crate) fn idx(&self, ap: ApId) -> Option<usize> {
-        self.index.get(&ap).copied()
+        self.paths.index.get(&ap).copied()
     }
 
-    pub(crate) fn store_kills(&self, stored: ApId, i: usize) -> bool {
-        if let Some(&v) = self.store_kill_memo.borrow().get(&(stored, i)) {
-            return v;
-        }
-        let v = self.prefixes[i]
-            .iter()
-            .any(|&p| self.analysis.may_alias(&self.aps, stored, p));
-        self.store_kill_memo.borrow_mut().insert((stored, i), v);
-        v
+    /// The interesting path with dense index `i`.
+    pub(crate) fn ap(&self, i: usize) -> ApId {
+        self.paths.interesting[i]
     }
 
-    pub(crate) fn wild_kills(&self, i: usize) -> bool {
-        if let Some(&v) = self.wild_kill_memo.borrow().get(&i) {
-            return v;
-        }
-        let path = self.aps.path(self.interesting[i]);
-        let rooted_shared = matches!(path.root, tbaa_ir::path::ApRoot::Global(_));
-        let v = rooted_shared
-            || self.prefixes[i]
+    /// Clears from `avail` every path `killer` kills.
+    pub(crate) fn kill(&self, avail: &mut Avail, killer: Killer) {
+        let mut masks = self.masks.borrow_mut();
+        avail.and_not(masks.entry(killer).or_insert_with(|| self.mask(killer)));
+    }
+
+    /// Which interesting paths `killer` kills: a store kills a path iff
+    /// it may alias one of the path's prefixes; a wild store kills
+    /// global-rooted paths and paths with a prefix it may modify; an
+    /// assignment to a variable kills the paths that mention it.
+    fn mask(&self, killer: Killer) -> Avail {
+        let FuncPaths {
+            interesting,
+            prefix_ids,
+            prefixes,
+            ..
+        } = self.paths;
+        let hits: Vec<bool> = match killer {
+            Killer::Store(s) => prefix_ids
                 .iter()
-                .any(|&p| self.analysis.wild_may_modify(&self.aps, p));
-        self.wild_kill_memo.borrow_mut().insert(i, v);
-        v
+                .map(|&p| self.analysis.may_alias(self.aps, s, p))
+                .collect(),
+            Killer::Wild => prefix_ids
+                .iter()
+                .map(|&p| self.analysis.wild_may_modify(self.aps, p))
+                .collect(),
+            Killer::Var(_) | Killer::Global(_) => Vec::new(),
+        };
+        let prefix_hit = |i: usize| prefixes[i].iter().any(|&p| hits[p]);
+        let mut mask = Avail::empty(interesting.len());
+        for (i, &ap) in interesting.iter().enumerate() {
+            let path = self.aps.path(ap);
+            let killed = match killer {
+                Killer::Store(_) => prefix_hit(i),
+                Killer::Wild => matches!(path.root, ApRoot::Global(_)) || prefix_hit(i),
+                Killer::Var(v) => path.mentions_var(v),
+                Killer::Global(g) => path.mentions_global(g),
+            };
+            if killed {
+                mask.set(i);
+            }
+        }
+        mask
     }
 
     /// Raw may-alias between an arbitrary path and an interesting one.
     pub(crate) fn analysis_may_alias(&self, a: ApId, i: usize) -> bool {
-        self.analysis.may_alias(&self.aps, a, self.interesting[i])
-    }
-
-    pub(crate) fn mentions_var(&self, i: usize, v: VarId) -> bool {
-        self.aps.path(self.interesting[i]).mentions_var(v)
-    }
-
-    pub(crate) fn mentions_global(&self, i: usize, g: GlobalId) -> bool {
-        self.aps.path(self.interesting[i]).mentions_global(g)
+        self.analysis.may_alias(self.aps, a, self.ap(i))
     }
 }
 
@@ -264,11 +388,8 @@ pub(crate) fn transfer(
     instr: &Instr,
     avail: &mut Avail,
     ctx: &KillCtx<'_>,
-    prog_types_len: usize,
     summaries: &dyn Fn(&Instr) -> Vec<Summary>,
 ) {
-    let _ = prog_types_len;
-    let n = ctx.n();
     match instr {
         Instr::LoadMem { ap, hidden, .. } if !hidden => {
             if let Some(i) = ctx.idx(*ap) {
@@ -276,43 +397,13 @@ pub(crate) fn transfer(
             }
         }
         Instr::StoreMem { ap, .. } => {
-            let killed: Vec<usize> = avail
-                .iter_set(n)
-                .filter(|&i| ctx.store_kills(*ap, i))
-                .collect();
-            for i in killed {
-                avail.clear(i);
-            }
+            ctx.kill(avail, Killer::Store(*ap));
             if let Some(i) = ctx.idx(*ap) {
                 avail.set(i);
             }
         }
-        Instr::StoreSlot { addr, .. } => match addr.base {
-            SlotBase::Local(v) => {
-                let killed: Vec<usize> = avail
-                    .iter_set(n)
-                    .filter(|&i| ctx.mentions_var(i, v))
-                    .collect();
-                for i in killed {
-                    avail.clear(i);
-                }
-            }
-            SlotBase::Global(g) => {
-                let killed: Vec<usize> = avail
-                    .iter_set(n)
-                    .filter(|&i| ctx.mentions_global(i, g))
-                    .collect();
-                for i in killed {
-                    avail.clear(i);
-                }
-            }
-        },
-        Instr::StoreInd { .. } => {
-            let killed: Vec<usize> = avail.iter_set(n).filter(|&i| ctx.wild_kills(i)).collect();
-            for i in killed {
-                avail.clear(i);
-            }
-        }
+        Instr::StoreSlot { addr, .. } => ctx.kill(avail, addr.base.into()),
+        Instr::StoreInd { .. } => ctx.kill(avail, Killer::Wild),
         Instr::Call {
             addr_aps,
             addr_slots,
@@ -323,54 +414,91 @@ pub(crate) fn transfer(
             addr_slots,
             ..
         } => {
-            let sums = summaries(instr);
-            let mut kill_idx: HashSet<usize> = HashSet::new();
-            for s in &sums {
+            for s in &summaries(instr) {
                 for &stored in &s.stores {
-                    for i in avail.iter_set(n) {
-                        if ctx.store_kills(stored, i) {
-                            kill_idx.insert(i);
-                        }
-                    }
+                    ctx.kill(avail, Killer::Store(stored));
                 }
                 for &g in &s.stored_globals {
-                    for i in avail.iter_set(n) {
-                        if ctx.mentions_global(i, g) {
-                            kill_idx.insert(i);
-                        }
-                    }
+                    ctx.kill(avail, Killer::Global(g));
                 }
                 if s.wild_store {
-                    for i in avail.iter_set(n) {
-                        if ctx.wild_kills(i) {
-                            kill_idx.insert(i);
-                        }
-                    }
+                    ctx.kill(avail, Killer::Wild);
                 }
             }
             for &ap in addr_aps {
-                for i in avail.iter_set(n) {
-                    if ctx.store_kills(ap, i) {
-                        kill_idx.insert(i);
-                    }
-                }
+                ctx.kill(avail, Killer::Store(ap));
             }
-            for sb in addr_slots {
-                for i in avail.iter_set(n) {
-                    let hit = match sb {
-                        SlotBase::Local(v) => ctx.mentions_var(i, *v),
-                        SlotBase::Global(g) => ctx.mentions_global(i, *g),
-                    };
-                    if hit {
-                        kill_idx.insert(i);
-                    }
-                }
-            }
-            for i in kill_idx {
-                avail.clear(i);
+            for &sb in addr_slots {
+                ctx.kill(avail, sb.into());
             }
         }
         _ => {}
+    }
+}
+
+/// Must (every incoming path) and may (some incoming path) availability
+/// of one function, solved to a fixpoint.
+pub(crate) struct MustMay {
+    /// Must-availability at each block's entry.
+    pub(crate) must_in: Vec<Avail>,
+    /// Must-availability at each block's exit.
+    pub(crate) must_out: Vec<Avail>,
+    /// May-availability at each block's entry.
+    pub(crate) may_in: Vec<Avail>,
+}
+
+impl MustMay {
+    /// MUST: intersection meet, universal init; MAY: union meet, empty
+    /// init. Nothing is available at the entry block.
+    pub(crate) fn solve(
+        func: &Function,
+        cfg: &Cfg,
+        ctx: &KillCtx<'_>,
+        summaries: &dyn Fn(&Instr) -> Vec<Summary>,
+    ) -> Self {
+        let n = ctx.n();
+        let nb = func.blocks.len();
+        let mut must_in: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
+        let mut must_out: Vec<Avail> = (0..nb).map(|_| Avail::universal(n)).collect();
+        let mut may_in: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
+        let mut may_out: Vec<Avail> = (0..nb).map(|_| Avail::empty(n)).collect();
+        must_in[0] = Avail::empty(n);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in &cfg.rpo {
+                let bi = b.0 as usize;
+                let mut must = if bi == 0 {
+                    Avail::empty(n)
+                } else {
+                    let mut acc = Avail::universal(n);
+                    for &p in &cfg.preds[bi] {
+                        acc.intersect_assign(&must_out[p.0 as usize]);
+                    }
+                    acc
+                };
+                let mut may = Avail::empty(n);
+                for &p in &cfg.preds[bi] {
+                    may.union_assign(&may_out[p.0 as usize]);
+                }
+                must_in[bi] = must.clone();
+                may_in[bi] = may.clone();
+                for instr in &func.blocks[bi].instrs {
+                    transfer(instr, &mut must, ctx, summaries);
+                    transfer(instr, &mut may, ctx, summaries);
+                }
+                if must != must_out[bi] || may != may_out[bi] {
+                    must_out[bi] = must;
+                    may_out[bi] = may;
+                    changed = true;
+                }
+            }
+        }
+        MustMay {
+            must_in,
+            must_out,
+            may_in,
+        }
     }
 }
 
@@ -390,77 +518,11 @@ pub(crate) fn callee_summaries<'a>(
     }
 }
 
-/// Collects the interesting (canonical, visible) access paths of one
-/// function, interns their prefixes, and builds the kill context.
-pub(crate) fn build_ctx<'a>(
-    prog: &mut Program,
-    fid: FuncId,
-    analysis: &'a dyn AliasAnalysis,
-) -> Option<KillCtx<'a>> {
-    let mut interesting: Vec<ApId> = Vec::new();
-    {
-        let mut seen = HashSet::new();
-        let f = prog.func(fid);
-        for b in &f.blocks {
-            for instr in &b.instrs {
-                let ap = match instr {
-                    Instr::LoadMem {
-                        ap, hidden: false, ..
-                    } => Some(*ap),
-                    Instr::StoreMem { ap, .. } => Some(*ap),
-                    _ => None,
-                };
-                if let Some(ap) = ap {
-                    if prog.aps.path(ap).is_canonical() && seen.insert(ap) {
-                        interesting.push(ap);
-                    }
-                }
-            }
-        }
+fn rle_function(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> RleStats {
+    RleStats {
+        hoisted: licm(prog, fid, ctx, modref),
+        eliminated: cse(prog, fid, ctx, modref),
     }
-    if interesting.is_empty() {
-        return None;
-    }
-    let mut prefixes = Vec::with_capacity(interesting.len());
-    for &ap in &interesting {
-        let path = prog.aps.path(ap).clone();
-        let mut pvec = Vec::new();
-        for k in 1..=path.steps.len() {
-            let mut p = path.clone();
-            p.steps.truncate(k);
-            pvec.push(prog.aps.intern(p));
-        }
-        prefixes.push(pvec);
-    }
-    let index: HashMap<ApId, usize> = interesting
-        .iter()
-        .enumerate()
-        .map(|(i, &ap)| (ap, i))
-        .collect();
-    Some(KillCtx {
-        analysis,
-        aps: prog.aps.clone(),
-        interesting,
-        index,
-        prefixes,
-        store_kill_memo: Default::default(),
-        wild_kill_memo: Default::default(),
-    })
-}
-
-fn rle_function(
-    prog: &mut Program,
-    fid: FuncId,
-    analysis: &dyn AliasAnalysis,
-    modref: &ModRef,
-) -> RleStats {
-    let Some(ctx) = build_ctx(prog, fid, analysis) else {
-        return RleStats::default();
-    };
-    let mut stats = RleStats::default();
-    stats.hoisted += licm(prog, fid, &ctx, modref);
-    stats.eliminated += cse(prog, fid, &ctx, modref);
-    stats
 }
 
 // ---- loop-invariant load motion --------------------------------------------
@@ -484,9 +546,6 @@ fn licm(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> 
             let mut by_block: HashMap<BlockId, Vec<usize>> = HashMap::new();
             for &(b, i) in &positions {
                 by_block.entry(b).or_default().push(i);
-            }
-            for &(b, i) in &positions {
-                let _ = (b, i);
             }
             // positions are already in dominance order (rpo, idx).
             for &(b, i) in &positions {
@@ -590,6 +649,15 @@ fn hoistable_positions(
         }
     }
 
+    // Paths no store in the loop may modify.
+    let mut unkilled = Avail::universal(ctx.n());
+    for &s in &stored_aps {
+        ctx.kill(&mut unkilled, Killer::Store(s));
+    }
+    if wild {
+        ctx.kill(&mut unkilled, Killer::Wild);
+    }
+
     // Loop positions in dominance order.
     let mut order: Vec<(BlockId, usize)> = Vec::new();
     for &b in &cfg.rpo {
@@ -654,8 +722,7 @@ fn hoistable_positions(
                             .indices
                             .iter()
                             .all(|(op, _, _)| operand_ok(op, &hoisted_regs, &defs_in_loop))
-                        && !stored_aps.iter().any(|&s| ctx.store_kills(s, idx))
-                        && !(wild && ctx.wild_kills(idx))
+                        && unkilled.contains(idx)
                 }
                 _ => false,
             };
@@ -794,7 +861,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                 ins[bi] = inset.clone();
             }
             for instr in &prog.func(fid).blocks[bi].instrs {
-                transfer(instr, &mut inset, ctx, 0, &summaries);
+                transfer(instr, &mut inset, ctx, &summaries);
             }
             if inset != outs[bi] {
                 outs[bi] = inset;
@@ -804,7 +871,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
     }
 
     // Dry pass: which APs are ever reused?
-    let mut reuse: HashSet<usize> = HashSet::new();
+    let mut reuse = Avail::empty(n);
     for &b in &cfg.rpo {
         let bi = b.0 as usize;
         let mut avail = ins[bi].clone();
@@ -815,24 +882,25 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
             {
                 if let Some(i) = ctx.idx(*ap) {
                     if avail.contains(i) {
-                        reuse.insert(i);
+                        reuse.set(i);
                     }
                 }
             }
-            transfer(instr, &mut avail, ctx, 0, &summaries);
+            transfer(instr, &mut avail, ctx, &summaries);
         }
     }
     if reuse.is_empty() {
         return 0;
     }
 
-    // Allocate scratch slots for reused APs.
+    // Allocate scratch slots for reused APs, in ascending path order so
+    // the rewritten program is the same on every run.
     let integer = prog.types.integer();
     let mut scratch: HashMap<usize, VarId> = HashMap::new();
     {
         let func = prog.func_mut(fid);
-        for &i in &reuse {
-            let ty = ctx.aps.path(ctx.interesting[i]).ty(integer);
+        for i in reuse.iter_set() {
+            let ty = ctx.aps.path(ctx.ap(i)).ty(integer);
             let v = VarId(func.vars.len() as u32);
             func.vars.push(VarDecl {
                 name: format!("$rle{i}"),
@@ -875,7 +943,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                         }
                     }
                     let dst = *dst;
-                    transfer(&instr, &mut avail, ctx, 0, &summaries);
+                    transfer(&instr, &mut avail, ctx, &summaries);
                     new_instrs.push(instr);
                     if let Some(i) = idx {
                         if let Some(&sv) = scratch.get(&i) {
@@ -889,7 +957,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                 Instr::StoreMem { ap, src, .. } => {
                     let idx = ctx.idx(*ap);
                     let src = *src;
-                    transfer(&instr, &mut avail, ctx, 0, &summaries);
+                    transfer(&instr, &mut avail, ctx, &summaries);
                     new_instrs.push(instr);
                     if let Some(i) = idx {
                         if let Some(&sv) = scratch.get(&i) {
@@ -901,7 +969,7 @@ fn cse(prog: &mut Program, fid: FuncId, ctx: &KillCtx<'_>, modref: &ModRef) -> u
                     }
                 }
                 _ => {
-                    transfer(&instr, &mut avail, ctx, 0, &summaries);
+                    transfer(&instr, &mut avail, ctx, &summaries);
                     new_instrs.push(instr);
                 }
             }
@@ -916,7 +984,178 @@ mod tests {
     use super::*;
     use tbaa::analysis::{Level, Tbaa};
     use tbaa::World;
+    use tbaa_benchsuite::suite;
     use tbaa_ir::compile_to_ir;
+
+    /// Every killer a transfer over `fid` can meet, plus the wild store.
+    fn killers(prog: &Program, fid: FuncId, modref: &ModRef) -> Vec<Killer> {
+        let summaries = callee_summaries(prog, modref);
+        let mut out = vec![Killer::Wild];
+        for instr in prog.func(fid).blocks.iter().flat_map(|b| &b.instrs) {
+            match instr {
+                Instr::StoreMem { ap, .. } => out.push(Killer::Store(*ap)),
+                Instr::StoreSlot { addr, .. } => out.push(addr.base.into()),
+                Instr::Call {
+                    addr_aps,
+                    addr_slots,
+                    ..
+                }
+                | Instr::CallMethod {
+                    addr_aps,
+                    addr_slots,
+                    ..
+                } => {
+                    out.extend(addr_aps.iter().map(|&ap| Killer::Store(ap)));
+                    out.extend(addr_slots.iter().map(|&sb| Killer::from(sb)));
+                    for s in summaries(instr) {
+                        out.extend(s.stores.iter().map(|&ap| Killer::Store(ap)));
+                        out.extend(s.stored_globals.iter().map(|&g| Killer::Global(g)));
+                    }
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// The per-path kill predicate a mask bit stands for, evaluated
+    /// directly: prefixes are re-derived from the path itself.
+    fn scalar_kills(
+        analysis: &dyn AliasAnalysis,
+        aps: &mut ApTable,
+        killer: Killer,
+        ap: ApId,
+    ) -> bool {
+        let path = aps.path(ap).clone();
+        let before = aps.len();
+        let prefixes: Vec<ApId> = (1..=path.steps.len())
+            .map(|k| {
+                let mut p = path.clone();
+                p.steps.truncate(k);
+                aps.intern(p)
+            })
+            .collect();
+        assert_eq!(aps.len(), before, "prefixes of {ap:?} were interned");
+        match killer {
+            Killer::Store(s) => prefixes.iter().any(|&p| analysis.may_alias(aps, s, p)),
+            Killer::Wild => {
+                matches!(path.root, ApRoot::Global(_))
+                    || prefixes.iter().any(|&p| analysis.wild_may_modify(aps, p))
+            }
+            Killer::Var(v) => path.mentions_var(v),
+            Killer::Global(g) => path.mentions_global(g),
+        }
+    }
+
+    #[test]
+    fn kill_masks_match_the_scalar_predicates() {
+        for b in suite() {
+            let base = b.compile(1).unwrap();
+            for level in Level::ALL {
+                for world in [World::Closed, World::Open] {
+                    let analysis = Tbaa::build(&base, level, world);
+                    let mut prog = base.clone();
+                    let paths = PathSets::intern(&mut prog);
+                    let mut aps = paths.aps.clone();
+                    let modref = ModRef::build(&prog);
+                    for f in 0..prog.funcs.len() {
+                        let fid = FuncId(f as u32);
+                        let Some(ctx) = paths.ctx(fid, &analysis) else {
+                            continue;
+                        };
+                        for killer in killers(&prog, fid, &modref) {
+                            let mask = ctx.mask(killer);
+                            for i in 0..ctx.n() {
+                                assert_eq!(
+                                    mask.contains(i),
+                                    scalar_kills(&analysis, &mut aps, killer, ctx.ap(i)),
+                                    "{} {level} {world:?} {fid:?} {killer:?} path {i}",
+                                    b.name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts every question the kill masks ask of the analysis.
+    struct Counting<'a> {
+        inner: &'a dyn AliasAnalysis,
+        asked: RefCell<HashMap<(ApId, ApId), usize>>,
+        wild_asked: RefCell<HashMap<ApId, usize>>,
+    }
+
+    impl AliasAnalysis for Counting<'_> {
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn may_alias(&self, aps: &ApTable, a: ApId, b: ApId) -> bool {
+            *self.asked.borrow_mut().entry((a, b)).or_default() += 1;
+            self.inner.may_alias(aps, a, b)
+        }
+        fn wild_may_modify(&self, aps: &ApTable, ap: ApId) -> bool {
+            *self.wild_asked.borrow_mut().entry(ap).or_default() += 1;
+            self.inner.wild_may_modify(aps, ap)
+        }
+    }
+
+    #[test]
+    fn rle_asks_each_kill_question_once_per_function() {
+        let mut asked = 0;
+        for b in suite() {
+            let mut prog = b.compile(1).unwrap();
+            let analysis = Tbaa::build(&prog, Level::SmFieldTypeRefs, World::Closed);
+            let modref = ModRef::build(&prog);
+            let paths = PathSets::intern(&mut prog);
+            for f in 0..prog.funcs.len() {
+                let fid = FuncId(f as u32);
+                let counting = Counting {
+                    inner: &analysis,
+                    asked: RefCell::default(),
+                    wild_asked: RefCell::default(),
+                };
+                let Some(ctx) = paths.ctx(fid, &counting) else {
+                    continue;
+                };
+                rle_function(&mut prog, fid, &ctx, &modref);
+                for (pair, &k) in counting.asked.borrow().iter() {
+                    assert_eq!(
+                        k, 1,
+                        "{} {fid:?}: may_alias{pair:?} asked {k} times",
+                        b.name
+                    );
+                }
+                for (ap, &k) in counting.wild_asked.borrow().iter() {
+                    assert_eq!(
+                        k, 1,
+                        "{} {fid:?}: wild_may_modify({ap:?}) asked {k} times",
+                        b.name
+                    );
+                }
+                asked += counting.asked.borrow().len();
+            }
+        }
+        assert!(asked > 0, "the suite has stores that kill");
+    }
+
+    #[test]
+    fn rle_output_is_deterministic() {
+        for b in suite() {
+            for level in Level::ALL {
+                let texts: Vec<String> = (0..2)
+                    .map(|_| {
+                        let mut prog = b.compile(1).unwrap();
+                        let analysis = Tbaa::build(&prog, level, World::Closed);
+                        run_rle(&mut prog, &analysis);
+                        tbaa_ir::pretty::program(&prog)
+                    })
+                    .collect();
+                assert_eq!(texts[0], texts[1], "{} {level}: RLE output differs", b.name);
+            }
+        }
+    }
 
     fn count_visible_loads(p: &Program) -> usize {
         p.funcs

@@ -13,8 +13,8 @@ cargo test -q --workspace
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy perf lints (enforcing for the compile pipeline and simulator crates)"
-cargo clippy -p tbaa-ir -p tbaa-incr -p tbaa-sim --all-targets -- -D warnings -D clippy::perf
+echo "== cargo clippy perf lints (enforcing for the compile pipeline, optimizer and simulator crates)"
+cargo clippy -p tbaa-ir -p tbaa-incr -p tbaa-opt -p tbaa-sim --all-targets -- -D warnings -D clippy::perf
 
 echo "== cargo clippy perf lints (advisory elsewhere: reported, never fails the gate)"
 cargo clippy --workspace --all-targets -- -W clippy::perf || true
